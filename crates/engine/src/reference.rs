@@ -1,12 +1,14 @@
 //! Naive reference interpreter for differential testing.
 //!
 //! [`reference_query`] executes the same AST dialect as
-//! [`crate::execute_query`] but with none of its shortcuts: the FROM list is
-//! materialized as a full cross product before the WHERE clause runs (no
-//! per-conjunct predicate pushdown), and every join is a straight nested
-//! loop (the equi-join hash fast path does not exist here). There is no
-//! cost model and no statistics bookkeeping — just textbook semantics,
-//! written to be obviously correct rather than fast.
+//! [`crate::execute_query`] but with none of its shortcuts: every row of the
+//! FROM list's full cross product is enumerated and the whole WHERE clause
+//! is evaluated on it (no per-conjunct predicate pushdown), and every join
+//! is a straight nested loop (the equi-join hash fast path does not exist
+//! here). A product row is built only once WHERE keeps it, and the row cap
+//! applies to the product's size before any row is built. There is no cost
+//! model and no statistics bookkeeping — just textbook semantics, written
+//! to be obviously correct rather than fast.
 //!
 //! The two interpreters share only the [`Value`] primitives and the leaf
 //! scalar-function library; all relational machinery (scans, joins,
@@ -42,9 +44,11 @@ pub fn reference_query(q: &Query, db: &Database) -> Result<Relation, ExecError> 
 }
 
 /// Hard ceiling on any intermediate relation, mirroring the executor's
-/// guard. The reference engine hits it earlier than the optimized one on
-/// the same query (no pushdown shrinks the product), which the differential
-/// oracle treats as a skip, not a disagreement.
+/// guard. A FROM list's cross product and a join's pair count are held to
+/// it by size, before any of their rows is built. The reference engine hits
+/// it earlier than the optimized one on the same query (no pushdown shrinks
+/// the product), which the differential oracle treats as a skip, not a
+/// disagreement.
 const MAX_ROWS: usize = 120_000;
 
 /// A column of a working relation: optional table binding plus name.
@@ -55,7 +59,6 @@ struct RCol {
 }
 
 /// An intermediate relation with qualified columns.
-#[derive(Clone)]
 struct Rows {
     cols: Vec<RCol>,
     rows: Vec<Vec<Value>>,
@@ -135,31 +138,60 @@ impl<'a> Rx<'a> {
         order_by: &[OrderItem],
         env: &[Scope],
     ) -> Result<Relation, ExecError> {
-        // FROM: the full cross product of every item, with no early
-        // filtering whatsoever. The WHERE clause sees the complete product.
-        let mut working = Rows {
-            cols: Vec::new(),
-            rows: vec![Vec::new()], // one empty row for table-less SELECT
-        };
+        // FROM: every item in order. The cap applies to the size of the
+        // cross product so far, checked after each item and before any
+        // product row exists; a table-less SELECT is one empty row.
+        let mut items = Vec::with_capacity(s.from.len());
+        let mut size: usize = 1;
         for tr in &s.from {
-            let next = self.table_ref(tr, env)?;
-            working = product(working, next)?;
+            let item = self.table_ref(tr, env)?;
+            size = size.saturating_mul(item.rows.len());
+            if size > MAX_ROWS {
+                return Err(ExecError::ResourceLimit);
+            }
+            items.push(item);
         }
 
-        // WHERE: the whole predicate, evaluated per surviving row.
-        if let Some(pred) = &s.selection {
-            let mut kept = Vec::new();
-            for row in working.rows {
-                let mut scopes = rescope(env);
-                scopes.push(Scope {
-                    cols: &working.cols,
-                    row: &row,
-                });
-                if self.eval(pred, &scopes)?.is_truthy() {
-                    kept.push(row);
+        // WHERE: the whole predicate on every row of the product, with no
+        // early filtering whatsoever. Each row is seen through one scope
+        // frame per item, pushed last item first so `resolve` meets the
+        // items in FROM order, and is built only when the predicate keeps
+        // it.
+        let mut scopes = rescope(env);
+        let base = scopes.len();
+        scopes.extend(items.iter().rev().map(|it| Scope {
+            cols: &it.cols,
+            row: it.rows.first().map(Vec::as_slice).unwrap_or_default(),
+        }));
+        let mut working = Rows {
+            cols: items
+                .iter()
+                .flat_map(|it| it.cols.iter().cloned())
+                .collect(),
+            rows: Vec::new(),
+        };
+        let mut at = vec![0; items.len()];
+        for _ in 0..size {
+            let keep = match &s.selection {
+                Some(pred) => self.eval(pred, &scopes)?.is_truthy(),
+                None => true,
+            };
+            if keep {
+                let frames = scopes[base..].iter().rev();
+                working
+                    .rows
+                    .push(frames.flat_map(|f| f.row.iter().cloned()).collect());
+            }
+            // Step the odometer `at` to the next product row, last item
+            // fastest, and point each frame whose item moved at its row.
+            let digits = items.iter().zip(&mut at).rev();
+            for (frame, (it, i)) in scopes[base..].iter_mut().zip(digits) {
+                *i = (*i + 1) % it.rows.len();
+                frame.row = &it.rows[*i];
+                if *i > 0 {
+                    break;
                 }
             }
-            working.rows = kept;
         }
 
         let grouped = !s.group_by.is_empty()
@@ -399,21 +431,28 @@ impl<'a> Rx<'a> {
             }
         }
 
+        // The ON test sees the pair through two frames, right then left, so
+        // `resolve` meets the columns in the joined row's order.
+        let mut scopes = rescope(env);
+        let right = scopes.len();
+        scopes.push(Scope {
+            cols: &r.cols,
+            row: &[],
+        });
+        scopes.push(Scope {
+            cols: &l.cols,
+            row: &[],
+        });
         let mut rows = Vec::new();
         let mut right_matched = vec![false; r.rows.len()];
         for lrow in &l.rows {
+            scopes[right + 1].row = lrow;
             let mut matched = false;
             for (ri, rrow) in r.rows.iter().enumerate() {
                 let hit = match constraint {
                     JoinConstraint::None => true,
                     JoinConstraint::On(e) => {
-                        let mut combined = lrow.clone();
-                        combined.extend(rrow.iter().cloned());
-                        let mut scopes = rescope(env);
-                        scopes.push(Scope {
-                            cols: &cols,
-                            row: &combined,
-                        });
+                        scopes[right].row = rrow;
                         self.eval(e, &scopes)?.is_truthy()
                     }
                     JoinConstraint::Using(_) => using_pairs
@@ -848,23 +887,6 @@ fn arith3(op: char, l: &Value, r: &Value) -> Value {
     }
 }
 
-fn product(l: Rows, r: Rows) -> Result<Rows, ExecError> {
-    if l.rows.len().saturating_mul(r.rows.len()) > MAX_ROWS {
-        return Err(ExecError::ResourceLimit);
-    }
-    let mut cols = l.cols;
-    cols.extend(r.cols);
-    let mut rows = Vec::with_capacity(l.rows.len() * r.rows.len());
-    for lrow in &l.rows {
-        for rrow in &r.rows {
-            let mut row = lrow.clone();
-            row.extend(rrow.iter().cloned());
-            rows.push(row);
-        }
-    }
-    Ok(Rows { cols, rows })
-}
-
 fn output_names(s: &Select, cols: &[RCol]) -> Vec<String> {
     let mut out = Vec::new();
     for item in &s.items {
@@ -1111,5 +1133,155 @@ mod tests {
              WHERE s.bestObjID = p.objID AND p.type > 1",
         );
         assert!(fast.result_equal(&slow));
+    }
+
+    fn n(v: f64) -> Value {
+        Value::num(v)
+    }
+
+    fn s(v: &str) -> Value {
+        Value::str(v)
+    }
+
+    fn column(name: &str, len: usize) -> Relation {
+        Relation::new(
+            vec![name.into()],
+            (0..len).map(|i| vec![n(i as f64)]).collect(),
+        )
+    }
+
+    fn run(sql: &str, db: &Database) -> Result<Relation, ExecError> {
+        reference_query(&parse_query(sql).unwrap(), db)
+    }
+
+    /// `wide` × `below`/`exact`/`above` is one row under, exactly at and
+    /// one `wide` row over the cap.
+    const WIDE: usize = 300;
+
+    fn cap_db() -> Database {
+        assert_eq!(MAX_ROWS % WIDE, 0);
+        let tall = MAX_ROWS / WIDE;
+        let mut db = Database::new("cap");
+        db.insert_table("wide", column("w", WIDE));
+        db.insert_table("below", column("t", tall - 1));
+        db.insert_table("exact", column("t", tall));
+        db.insert_table("above", column("t", tall + 1));
+        db
+    }
+
+    #[test]
+    fn row_cap_edges_on_comma_product_and_join() {
+        let db = cap_db();
+        for (from, rows) in [
+            ("wide, below", MAX_ROWS - WIDE),
+            ("wide, exact", MAX_ROWS),
+            ("wide JOIN below ON 1 = 1", MAX_ROWS - WIDE),
+            ("wide JOIN exact ON 1 = 1", MAX_ROWS),
+        ] {
+            let rel = run(&format!("SELECT COUNT(*) FROM {from}"), &db).unwrap();
+            assert_eq!(rel.rows, vec![vec![n(rows as f64)]], "{from}");
+        }
+        for from in [
+            "wide, above",
+            "wide JOIN above ON 1 = 1",
+            // the cap is on the product's size, not on what WHERE keeps
+            "wide, above WHERE 1 = 0",
+        ] {
+            let err = run(&format!("SELECT COUNT(*) FROM {from}"), &db).unwrap_err();
+            assert_eq!(err, ExecError::ResourceLimit, "{from}");
+        }
+    }
+
+    #[test]
+    fn row_cap_and_unknown_table_fail_in_from_order() {
+        let db = cap_db();
+        assert_eq!(
+            run("SELECT w FROM above AS a1, above AS a2, missing", &db).unwrap_err(),
+            ExecError::ResourceLimit
+        );
+        assert_eq!(
+            run("SELECT w FROM missing, above AS a1, above AS a2", &db).unwrap_err(),
+            ExecError::UnknownTable("missing".into())
+        );
+    }
+
+    fn named_db() -> Database {
+        let mut db = Database::new("named");
+        db.insert_table("a", column("x", 2));
+        db.insert_table("b", column("y", 3));
+        db.insert_table("c", column("z", 2));
+        db.insert_table(
+            "p",
+            Relation::new(
+                vec!["id".into(), "v".into()],
+                vec![vec![n(1.0), s("p1")], vec![n(2.0), s("p2")]],
+            ),
+        );
+        db.insert_table(
+            "q",
+            Relation::new(
+                vec!["id".into(), "w".into()],
+                vec![vec![n(2.0), s("q2")], vec![n(1.0), s("q1")]],
+            ),
+        );
+        db
+    }
+
+    #[test]
+    fn limit_without_order_by_keeps_product_order() {
+        let rel = run(
+            "SELECT x, y, z FROM a, b, c WHERE y <> 1 LIMIT 5",
+            &named_db(),
+        )
+        .unwrap();
+        let row = |x: f64, y: f64, z: f64| vec![n(x), n(y), n(z)];
+        assert_eq!(
+            rel.rows,
+            vec![
+                row(0.0, 0.0, 0.0),
+                row(0.0, 0.0, 1.0),
+                row(0.0, 2.0, 0.0),
+                row(0.0, 2.0, 1.0),
+                row(1.0, 0.0, 0.0),
+            ]
+        );
+    }
+
+    #[test]
+    fn unqualified_shared_name_resolves_to_first_from_item() {
+        let db = named_db();
+        let rows = |sql: &str| run(sql, &db).unwrap().rows;
+        assert_eq!(
+            rows("SELECT v, w FROM p, q WHERE id = 1"),
+            vec![vec![s("p1"), s("q2")], vec![s("p1"), s("q1")]]
+        );
+        assert_eq!(
+            rows("SELECT v, w FROM q, p WHERE id = 1"),
+            vec![vec![s("p1"), s("q1")], vec![s("p2"), s("q1")]]
+        );
+        assert_eq!(
+            rows("SELECT v, w FROM p JOIN q ON id = 2"),
+            vec![vec![s("p2"), s("q2")], vec![s("p2"), s("q1")]]
+        );
+        assert_eq!(
+            rows("SELECT id FROM q, p WHERE v = 'p1'"),
+            vec![vec![n(2.0)], vec![n(1.0)]]
+        );
+    }
+
+    #[test]
+    fn correlated_subquery_resolves_shared_name_innermost_first() {
+        let db = named_db();
+        let rows = |sql: &str| run(sql, &db).unwrap().rows;
+        // `id` names q.id inside the subquery; p.id only when qualified
+        assert_eq!(
+            rows("SELECT v FROM p, a WHERE x = 0 AND EXISTS (SELECT 1 FROM q WHERE id = p.id + 1)"),
+            vec![vec![s("p1")]]
+        );
+        // a name only the outer scope has still reaches it
+        assert_eq!(
+            rows("SELECT v FROM p WHERE EXISTS (SELECT 1 FROM q WHERE w = 'q1' AND v = 'p2')"),
+            vec![vec![s("p2")]]
+        );
     }
 }

@@ -684,8 +684,11 @@ impl Task for TranslateTask {
     /// resolve, both surfaces must parse in their own dialect, the
     /// canonical form must lint clean, and source and gold must execute
     /// row-for-row identically on every witness database — on both the
-    /// compiled engine and the independent reference interpreter (whose
-    /// row-cap failures count as skips, not violations). This is the
+    /// compiled engine and the independent reference interpreter. The
+    /// reference interpreter enumerates a FROM list's whole cross product
+    /// and fails with a row-cap error when the product's size exceeds its
+    /// cap, which the compiled engine's pushdown often avoids; those
+    /// failures count as skips, not violations. This is the
     /// cross-dialect conformance gate: a translation that means something
     /// different than its source cannot pass it.
     fn audit(&self, w: Workload, examples: &[TranslateExample], ctx: &mut AuditCtx) {
@@ -754,8 +757,9 @@ impl Task for TranslateTask {
                         format!("witness {i}: a side failed to execute"),
                     ),
                 }
-                // The reference interpreter caps row production earlier
-                // than the compiled engine; its errors are skips.
+                // The reference interpreter caps the FROM product by size
+                // before filtering it, so it fails on products the
+                // compiled engine filters first; its errors are skips.
                 if let (Ok(r1), Ok(r2)) =
                     (reference_query(&q_src, db), reference_query(&q_gold, db))
                 {
