@@ -48,8 +48,12 @@ pub struct Conn {
 
 impl Conn {
     /// Connect to `addr` with `timeout` applied to connect/read/write.
+    /// Like the server, the client sends each request in one write on a
+    /// `TCP_NODELAY` socket, so a keep-alive exchange never waits for the
+    /// server's delayed ACK (see [`crate::http`]).
     pub fn connect(addr: SocketAddr, timeout: Duration) -> std::io::Result<Conn> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         let read_half = stream.try_clone()?;
@@ -67,16 +71,17 @@ impl Conn {
         headers: &[(&str, &str)],
         body: &[u8],
     ) -> std::io::Result<HttpResponse> {
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: squ-serve\r\n");
+        let mut msg = Vec::with_capacity(256 + body.len());
+        write!(msg, "{method} {path} HTTP/1.1\r\nHost: squ-serve\r\n")?;
         for (name, value) in headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            write!(msg, "{name}: {value}\r\n")?;
         }
         if !body.is_empty() || method == "POST" {
-            head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+            write!(msg, "Content-Length: {}\r\n", body.len())?;
         }
-        head.push_str("\r\n");
-        self.writer.write_all(head.as_bytes())?;
-        self.writer.write_all(body)?;
+        msg.extend_from_slice(b"\r\n");
+        msg.extend_from_slice(body);
+        self.writer.write_all(&msg)?;
         self.writer.flush()?;
         read_response(&mut self.reader)
     }

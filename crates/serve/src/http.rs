@@ -13,6 +13,15 @@
 //! `Content-Length`, or a [`ChunkedWriter`] stream for `/suite` (one
 //! chunk per task result, so clients see progress while later tasks are
 //! still evaluating).
+//!
+//! Every message leaves in one write, and the server sets `TCP_NODELAY`
+//! on each connection it serves; a keep-alive exchange needs both. A
+//! head and body written separately go out as two segments, and Nagle's
+//! algorithm holds the body until the peer ACKs the head, which a
+//! delayed-ACK peer does only after about 40 ms. One write keeps a small
+//! message in one segment and one syscall, but without `TCP_NODELAY` a
+//! chunk still waits for the ACK of the chunk before it, and a body
+//! larger than one segment for the ACK of its first part.
 
 use std::io::{BufRead, Write};
 
@@ -327,32 +336,34 @@ impl Response {
     }
 }
 
-/// Write a complete response; `close` controls the `Connection` header.
+/// Write a complete response, head and body in one write (see the module
+/// doc for why); `close` controls the `Connection` header.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response, close: bool) -> std::io::Result<()> {
-    let mut head = format!(
+    let mut msg = Vec::with_capacity(256 + resp.body.len());
+    write!(
+        msg,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         resp.status,
         reason(resp.status),
         resp.content_type,
         resp.body.len(),
         if close { "close" } else { "keep-alive" },
-    );
+    )?;
     for (name, value) in &resp.extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+        write!(msg, "{name}: {value}\r\n")?;
     }
-    head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(&resp.body)?;
+    msg.extend_from_slice(b"\r\n");
+    msg.extend_from_slice(&resp.body);
+    w.write_all(&msg)?;
     w.flush()
 }
 
-/// Incremental chunked-transfer response writer.
+/// Incremental chunked-transfer response writer. The head, each chunk
+/// (size line, data and trailing CRLF) and the terminator each leave in
+/// one write; on a `TCP_NODELAY` socket no chunk waits for the ACK of the
+/// one before it.
 pub struct ChunkedWriter<'a, W: Write> {
     w: &'a mut W,
-    done: bool,
 }
 
 impl<'a, W: Write> ChunkedWriter<'a, W> {
@@ -372,24 +383,25 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         );
         w.write_all(head.as_bytes())?;
         w.flush()?;
-        Ok(ChunkedWriter { w, done: false })
+        Ok(ChunkedWriter { w })
     }
 
-    /// Write one chunk (empty input is skipped: a zero-length chunk would
-    /// terminate the stream).
+    /// Write one chunk in one write (empty input is skipped: a
+    /// zero-length chunk would terminate the stream).
     pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
+        let mut msg = Vec::with_capacity(data.len() + 20);
+        write!(msg, "{:x}\r\n", data.len())?;
+        msg.extend_from_slice(data);
+        msg.extend_from_slice(b"\r\n");
+        self.w.write_all(&msg)?;
         self.w.flush()
     }
 
     /// Terminate the stream.
-    pub fn finish(mut self) -> std::io::Result<()> {
-        self.done = true;
+    pub fn finish(self) -> std::io::Result<()> {
         self.w.write_all(b"0\r\n\r\n")?;
         self.w.flush()
     }
@@ -483,16 +495,41 @@ mod tests {
         ));
     }
 
+    /// A sink that keeps the bytes of each `write` call apart, so a test
+    /// can pin how many writes a message took as well as its bytes.
+    #[derive(Default)]
+    struct WriteLog {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl WriteLog {
+        fn text(&self) -> String {
+            String::from_utf8(self.writes.concat()).expect("utf8")
+        }
+    }
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
+        let mut out = WriteLog::default();
         write_response(
             &mut out,
             &Response::json(200, "{\"ok\":true}".into()),
             false,
         )
         .expect("write");
-        let text = String::from_utf8(out).expect("utf8");
+        assert_eq!(out.writes.len(), 1, "head and body leave in one write");
+        let text = out.text();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
@@ -511,7 +548,7 @@ mod tests {
 
     #[test]
     fn chunked_stream_format() {
-        let mut out = Vec::new();
+        let mut out = WriteLog::default();
         {
             let mut cw = ChunkedWriter::begin(&mut out, 200, "application/json").expect("begin");
             cw.chunk(b"{\"a\":1}\n").expect("chunk");
@@ -519,7 +556,11 @@ mod tests {
             cw.chunk(b"{\"b\":2}\n").expect("chunk");
             cw.finish().expect("finish");
         }
-        let text = String::from_utf8(out).expect("utf8");
+        // head, one write per non-empty chunk, terminator
+        assert_eq!(out.writes.len(), 4, "{:?}", out.writes);
+        assert_eq!(out.writes[1], b"8\r\n{\"a\":1}\n\r\n");
+        assert_eq!(out.writes[2], b"8\r\n{\"b\":2}\n\r\n");
+        let text = out.text();
         assert!(text.contains("Transfer-Encoding: chunked"));
         assert!(text.contains("8\r\n{\"a\":1}\n\r\n"));
         assert!(text.ends_with("0\r\n\r\n"));

@@ -274,6 +274,9 @@ impl Server {
 
 fn handle_connection(shared: &Shared, stream: TcpStream) {
     let cfg = &shared.config;
+    // one write per message is not enough on its own: without NODELAY a
+    // message can still wait for the peer's delayed ACK of the one before
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_ms)));
     let read_half = match stream.try_clone() {
@@ -285,8 +288,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     loop {
         match read_request(&mut reader, &cfg.limits) {
             Ok(req) => {
-                let close = dispatch(shared, &req, &mut writer);
-                if close || req.wants_close() {
+                if dispatch(shared, &req, &mut writer) {
                     break;
                 }
             }
@@ -307,24 +309,25 @@ fn dispatch(shared: &Shared, req: &Request, writer: &mut TcpStream) -> bool {
     let start = Instant::now();
     let _gauge = InFlight::enter(&shared.stats);
     let path = req.path().to_string();
+    let wants_close = req.wants_close();
     let (status, close) = match (req.method.as_str(), path.as_str()) {
         ("GET", "/healthz") => {
             let resp = Response::json(200, "{\"ok\":true}".to_string());
-            write_and_status(writer, &resp)
+            write_and_status(writer, &resp, wants_close)
         }
         ("GET", "/statz") => {
             let body = shared.stats.statz_json(shared.service.store_stats_json());
-            write_and_status(writer, &Response::json(200, body))
+            write_and_status(writer, &Response::json(200, body), wants_close)
         }
         ("POST", "/eval") => match admit(shared, req) {
-            Err(resp) => write_and_status(writer, &resp),
+            Err(resp) => write_and_status(writer, &resp, wants_close),
             Ok(_permit) => {
                 let resp = eval_response(shared, req);
-                write_and_status(writer, &resp)
+                write_and_status(writer, &resp, wants_close)
             }
         },
         ("POST", "/suite") => match admit(shared, req) {
-            Err(resp) => write_and_status(writer, &resp),
+            Err(resp) => write_and_status(writer, &resp, wants_close),
             Ok(_permit) => (stream_suite(shared, req, writer), true),
         },
         (_, "/healthz" | "/statz" | "/eval" | "/suite") => write_and_status(
@@ -333,10 +336,12 @@ fn dispatch(shared: &Shared, req: &Request, writer: &mut TcpStream) -> bool {
                 405,
                 format!("method {} not allowed on {path}", req.method),
             )),
+            wants_close,
         ),
         _ => write_and_status(
             writer,
             &Response::reject(&Reject::new(404, format!("no route for {path}"))),
+            wants_close,
         ),
     };
     let us = start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
@@ -344,14 +349,13 @@ fn dispatch(shared: &Shared, req: &Request, writer: &mut TcpStream) -> bool {
     close
 }
 
-/// Write a complete response honoring nothing but its own status;
-/// returns `(status, close)` where close mirrors a write failure (a dead
-/// peer means the connection is done regardless of keep-alive).
-fn write_and_status(writer: &mut TcpStream, resp: &Response) -> (u16, bool) {
-    match write_response(writer, resp, false) {
-        Ok(()) => (resp.status, false),
-        Err(_) => (resp.status, true),
-    }
+/// Write a complete response whose `Connection` header announces
+/// `close`; returns `(status, close)`, with close also set by a write
+/// failure (a dead peer means the connection is done regardless of
+/// keep-alive).
+fn write_and_status(writer: &mut TcpStream, resp: &Response, close: bool) -> (u16, bool) {
+    let failed = write_response(writer, resp, close).is_err();
+    (resp.status, close || failed)
 }
 
 /// Admission control for the evaluation endpoints: per-client token

@@ -8,7 +8,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -64,6 +64,73 @@ fn keep_alive_carries_multiple_exchanges_on_one_connection() {
         .request("GET", "/healthz", &[], b"")
         .expect("exchange 3 on the same socket");
     assert_eq!(third.status, 200);
+
+    // A message that waits for the peer's delayed ACK of the one before
+    // it (at least 40 ms on Linux) stalls every keep-alive exchange, as a
+    // fresh connection never does; the median exchange must stay clear
+    // of that.
+    let mut median_ms = |method: &str, path: &str, body: &[u8], cache: Option<&str>| {
+        let mut ms: Vec<f64> = (0..30)
+            .map(|i| {
+                let start = Instant::now();
+                let resp = conn
+                    .request(method, path, &[], body)
+                    .unwrap_or_else(|e| panic!("{method} {path} #{i}: {e}"));
+                let elapsed = start.elapsed().as_secs_f64() * 1e3;
+                assert_eq!(resp.status, 200);
+                assert_eq!(resp.header("x-squ-cache"), cache);
+                elapsed
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    };
+    let health = median_ms("GET", "/healthz", b"", None);
+    let warm = median_ms("POST", "/eval", EVAL_BODY.as_bytes(), Some("hit"));
+    for (what, ms) in [("GET /healthz", health), ("warm POST /eval", warm)] {
+        assert!(
+            ms < 20.0,
+            "median keep-alive {what} took {ms:.2} ms: a delayed-ACK stall"
+        );
+    }
+}
+
+#[test]
+fn connection_header_says_whether_the_server_closes() {
+    use std::io::{BufRead, BufReader, Read};
+    let addr = boot("connection", |_| {});
+    for (request, want) in [
+        ("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", "keep-alive"),
+        (
+            "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+            "close",
+        ),
+        ("GET /healthz HTTP/1.0\r\n\r\n", "close"),
+    ] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(TIMEOUT)).expect("timeout");
+        stream.write_all(request.as_bytes()).expect("send request");
+        let mut reader = BufReader::new(stream);
+        let mut head = Vec::new();
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read head");
+            if line == "\r\n" || line.is_empty() {
+                break;
+            }
+            head.push(line.trim_end().to_string());
+        }
+        assert!(
+            head.contains(&format!("Connection: {want}")),
+            "{request:?} got {head:?}"
+        );
+        if want == "close" {
+            // the server does what it announced: the body, then EOF
+            let mut rest = Vec::new();
+            reader.read_to_end(&mut rest).expect("server closes");
+            assert_eq!(rest, b"{\"ok\":true}");
+        }
+    }
 }
 
 #[test]
