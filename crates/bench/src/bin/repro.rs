@@ -55,9 +55,9 @@
 //! differential, and metamorphic oracles), writing `target/repro/fuzz.json`
 //! — byte-identical for any `--jobs` count — and exiting 1 on any oracle
 //! violation. The same case stream is then replayed single-threaded
-//! through the compiled engine and the tree-walking interpreter side by
+//! through the compiled engine and the reference interpreter side by
 //! side; the phase timings, speedup ratio, and deterministic engine
-//! counters land in `timings.json`, and any compiled-vs-interpreter
+//! counters land in `timings.json`, and any compiled-vs-reference
 //! divergence also exits 1.
 
 use squ::llm::FaultProfile;
@@ -628,20 +628,20 @@ fn main() {
         squ::timing::count("fuzz.sema.soundness_pass", s.soundness_pass);
         squ::timing::count("fuzz.sema.soundness_fail", s.soundness_fail);
 
-        // compiled-vs-interpreter benchmark over the same case stream
+        // compiled-vs-reference benchmark over the same case stream
         // (single-threaded: the ratio is a per-core comparison)
-        eprintln!("benchmarking compiled engine vs interpreter over the same stream…");
+        eprintln!("benchmarking compiled engine vs reference interpreter over the same stream…");
         let bench = squ::run_engine_bench(cases, opts.fuzz_seed);
         println!(
             "engine bench: {} execution(s) per engine, differential {:.1?} compiled vs {:.1?} \
-             interpreted ({:.1}x), equiv-verify {:.1?} vs {:.1?} ({:.1}x), overall {:.1}x, \
+             reference ({:.1}x), equiv-verify {:.1?} vs {:.1?} ({:.1}x), overall {:.1}x, \
              {} divergence(s)",
             bench.executions,
             bench.differential_compiled,
-            bench.differential_interpreted,
+            bench.differential_reference,
             bench.differential_speedup(),
             bench.equiv_compiled,
-            bench.equiv_interpreted,
+            bench.equiv_reference,
             bench.equiv_speedup(),
             bench.overall_speedup(),
             bench.divergences,
@@ -651,7 +651,7 @@ fn main() {
         finish_timings(&opts, &out_dir, jobs_n, run_start);
         if bench.divergences > 0 {
             eprintln!(
-                "error: compiled engine diverged from the interpreter on {} run(s)",
+                "error: compiled engine diverged from the reference interpreter on {} run(s)",
                 bench.divergences
             );
             std::process::exit(1);

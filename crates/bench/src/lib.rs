@@ -1,2 +1,2 @@
 //! Benchmark + reproduction crate. The library surface is empty; see the
-//! `repro` binary and the Criterion benches.
+//! `repro` and `servectl` binaries.

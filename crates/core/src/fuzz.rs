@@ -2,7 +2,7 @@
 //! [`par`] layer plus warm-resume through the artifact store.
 //!
 //! Each case is keyed in the store by `(fuzz seed, index)` via
-//! [`fp_fuzz`], so a re-run with `--resume` only
+//! [`crate::store::fp_fuzz`], so a re-run with `--resume` only
 //! executes cases the store has not judged yet — and because every case is
 //! fully determined by its key, a resumed report is byte-identical to a
 //! cold one.
@@ -84,7 +84,7 @@ pub fn run_fuzz_dialect(
     FuzzReport::from_cases_in(fuzz_seed, dialect.name(), &ordered)
 }
 
-/// Run the compiled-vs-interpreter engine benchmark over the same
+/// Run the compiled-vs-reference engine benchmark over the same
 /// generator stream a fuzz run with `(fuzz_seed, cases)` would exercise,
 /// recording its phase wall-clock as timing spans and its deterministic
 /// tallies as timing counters (both land in `timings.json`).
@@ -95,12 +95,9 @@ pub fn run_fuzz_dialect(
 pub fn run_engine_bench(cases: u64, fuzz_seed: u64) -> EngineBench {
     let bench = engine_bench(fuzz_seed, cases);
     timing::record("fuzz.differential.compiled", bench.differential_compiled);
-    timing::record(
-        "fuzz.differential.interpreter",
-        bench.differential_interpreted,
-    );
+    timing::record("fuzz.differential.reference", bench.differential_reference);
     timing::record("fuzz.equiv_verify.compiled", bench.equiv_compiled);
-    timing::record("fuzz.equiv_verify.interpreter", bench.equiv_interpreted);
+    timing::record("fuzz.equiv_verify.reference", bench.equiv_reference);
     let c = &bench.counters;
     timing::count("fuzz.bench.rows_scanned", c.rows_scanned);
     timing::count("fuzz.bench.join_pairs", c.join_pairs);

@@ -1,23 +1,23 @@
-//! Tree-walking SQL executor.
+//! The engine's execution entry point and the leaf semantics its two
+//! executors share.
 //!
-//! Executes the parsed AST directly against an in-memory [`Database`]. The
-//! engine exists to *verify labels*: equivalence transforms must preserve
-//! results and non-equivalence transforms must change them on witness
-//! databases, and the cost model is sanity-checked against row counting.
-//! Witness databases are small (tens of rows), so the executor favours
-//! clarity over performance: nested-loop joins, per-row expression
-//! interpretation, full materialization.
+//! [`execute_query`] lowers a query with [`crate::compile_query`] and runs
+//! the compiled plan. A query the compiler rejects runs whole on
+//! the reference interpreter ([`crate::reference_query`]), the engine's one
+//! executable definition of SQL semantics; [`ExecStats::compiled`] and
+//! [`ExecStats::fallbacks`] record which path ran.
 //!
-//! Supported: implicit/explicit joins (inner, left, right, full, cross,
-//! `USING`), `WHERE`, `GROUP BY` + aggregates, `HAVING`, `DISTINCT`,
-//! `ORDER BY`/`LIMIT`/`TOP`, set operations, CTEs, correlated subqueries
-//! (scalar, `IN`, `EXISTS`), `CASE`, `CAST`, `LIKE`, `BETWEEN`, arithmetic,
-//! and a library of scalar functions.
+//! The rest of the module is leaf machinery: three-valued logic,
+//! comparison, arithmetic, `CAST`, `LIKE`, the scalar-function library and
+//! aggregate finishing, plus the few relational helpers the compiler
+//! reuses (conjunct splitting, projection naming, set-operation
+//! combining). What the reference interpreter imports from here (`CAST`,
+//! `LIKE` and the scalar functions) is deliberately not part of the
+//! differential surface.
 
 use crate::{Database, Relation, Value};
 use squ_parser::ast::*;
 use squ_parser::CompareOp;
-use std::collections::HashMap;
 
 /// Execution failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,15 +52,17 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Counters accumulated during execution; input to cost-model validation
-/// and the Criterion benchmarks.
+/// Counters accumulated during execution; input to cost-model validation,
+/// the fuzz report and the benchmark's per-layer metrics.
 ///
-/// The compiled engine ([`crate::physical`]) fills the same counters with
-/// compiled-path meanings (an index probe counts only the fetched rows as
-/// scanned, a consumed hash-equi filter skips its join pairs), plus the
-/// compiled-only counters below. All counters are deterministic for a
-/// given (query, database) — independent of cache warmth or thread
-/// count — so fuzz reports stay byte-identical across `--jobs`.
+/// The compiled engine ([`crate::CompiledQuery`]) fills every counter (an
+/// index probe counts only the fetched rows as scanned, a consumed
+/// hash-equi filter skips its join pairs). A fallback reports only
+/// `rows_output` and `fallbacks`: the reference interpreter keeps no
+/// statistics, so every work counter reads zero. All counters are
+/// deterministic for a given (query, database) — independent of cache
+/// warmth or thread count — so fuzz reports stay byte-identical across
+/// `--jobs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Base-table rows materialized into the pipeline.
@@ -79,11 +81,11 @@ pub struct ExecStats {
     pub index_hits: u64,
     /// 1 if the query ran on the compiled engine.
     pub compiled: u64,
-    /// 1 if compilation was rejected and the interpreter ran instead.
+    /// 1 if compilation was rejected and the reference interpreter ran
+    /// instead.
     pub fallbacks: u64,
     /// Select blocks short-circuited because the semantic analyzer proved
-    /// their WHERE clause unsatisfiable at compile time (compiled engine
-    /// only; the interpreter stays the unoptimized semantics definition).
+    /// their WHERE clause unsatisfiable at compile time.
     pub empty_prunes: u64,
 }
 
@@ -98,36 +100,22 @@ pub fn execute(stmt: &Statement, db: &Database) -> Result<Relation, ExecError> {
 
 /// Execute a query, returning the result relation and execution statistics.
 ///
-/// Hybrid entry point: the query is first lowered by
-/// [`crate::physical::compile_query`]; any construct the compiler does not
-/// cover rejects compilation and the whole query falls back to the
-/// tree-walking interpreter ([`execute_query_interpreted`]), which remains
-/// the semantics definition. [`ExecStats::compiled`] /
-/// [`ExecStats::fallbacks`] record which path ran.
+/// The query is first lowered by [`crate::compile_query`]; any
+/// construct the compiler does not cover rejects compilation, and the whole
+/// query runs on the reference interpreter ([`crate::reference_query`])
+/// instead. [`ExecStats::compiled`] / [`ExecStats::fallbacks`] record which
+/// path ran.
 pub fn execute_query(q: &Query, db: &Database) -> Result<(Relation, ExecStats), ExecError> {
     if let Some(cq) = crate::physical::compile_query(q, db) {
         return cq.execute(db);
     }
-    let (rel, mut stats) = execute_query_interpreted(q, db)?;
-    stats.fallbacks = 1;
-    Ok((rel, stats))
-}
-
-/// Execute a query on the tree-walking interpreter, bypassing the
-/// compiled engine. This is the executable semantics the compiled path is
-/// differentially verified against (and the baseline for perf ratios).
-pub fn execute_query_interpreted(
-    q: &Query,
-    db: &Database,
-) -> Result<(Relation, ExecStats), ExecError> {
-    let mut cx = Cx {
-        db,
-        ctes: Vec::new(),
-        stats: ExecStats::default(),
+    let rel = crate::reference::reference_query(q, db)?;
+    let stats = ExecStats {
+        rows_output: rel.rows.len() as u64,
+        fallbacks: 1,
+        ..ExecStats::default()
     };
-    let rel = cx.query(q, &[])?;
-    cx.stats.rows_output = rel.rows.len() as u64;
-    Ok((rel, cx.stats))
+    Ok((rel, stats))
 }
 
 /// A qualified column in a working row.
@@ -137,825 +125,9 @@ pub(crate) struct QCol {
     pub(crate) name: String,
 }
 
-/// One working relation: qualified columns + rows.
-#[derive(Debug, Clone)]
-struct Working {
-    cols: Vec<QCol>,
-    rows: Vec<Vec<Value>>,
-}
-
-/// A correlation frame: the columns and the current row of an enclosing
-/// query, visible to subqueries.
-struct Frame<'a> {
-    cols: &'a [QCol],
-    row: &'a [Value],
-}
-
-struct Cx<'a> {
-    db: &'a Database,
-    /// CTE environments (stack; inner queries see outer CTEs).
-    ctes: Vec<HashMap<String, Relation>>,
-    stats: ExecStats,
-}
-
-impl<'a> Cx<'a> {
-    fn lookup_cte(&self, name: &str) -> Option<&Relation> {
-        self.ctes
-            .iter()
-            .rev()
-            .find_map(|env| env.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)))
-            .map(|(_, v)| v)
-    }
-
-    fn query(&mut self, q: &Query, env: &[Frame]) -> Result<Relation, ExecError> {
-        self.ctes.push(HashMap::new());
-        let result = (|| {
-            for cte in &q.ctes {
-                let rel = self.query(&cte.query, env)?;
-                self.ctes
-                    .last_mut()
-                    .expect("pushed above") // lint:allow: pushed earlier in this function
-                    .insert(cte.name.clone(), rel);
-            }
-            let mut rel = self.set_expr(&q.body, &q.order_by, env)?;
-            // LIMIT / TOP (TOP binds to the outermost select of the body).
-            let effective_limit = q.limit.or(match &q.body {
-                SetExpr::Select(s) => s.top,
-                _ => None,
-            });
-            if let Some(n) = effective_limit {
-                rel.rows.truncate(n as usize);
-            }
-            Ok(rel)
-        })();
-        self.ctes.pop();
-        result
-    }
-
-    fn set_expr(
-        &mut self,
-        body: &SetExpr,
-        order_by: &[OrderItem],
-        env: &[Frame],
-    ) -> Result<Relation, ExecError> {
-        match body {
-            SetExpr::Select(s) => self.select(s, order_by, env),
-            SetExpr::SetOp {
-                op,
-                all,
-                left,
-                right,
-            } => {
-                let l = self.set_expr(left, &[], env)?;
-                let r = self.set_expr(right, &[], env)?;
-                let mut rel = combine_set(op, *all, l, r);
-                if !order_by.is_empty() {
-                    // set-op ORDER BY references output column positions/names
-                    sort_by_output_columns(&mut rel, order_by)?;
-                }
-                Ok(rel)
-            }
-        }
-    }
-
-    fn select(
-        &mut self,
-        s: &Select,
-        order_by: &[OrderItem],
-        env: &[Frame],
-    ) -> Result<Relation, ExecError> {
-        // Split WHERE into conjuncts so filters can be applied as soon as
-        // their columns become available during FROM accumulation — without
-        // this, comma-joined FROM lists (the Join-Order workload joins up
-        // to 12 tables implicitly) would materialize the full cross
-        // product before filtering.
-        let mut conjuncts: Vec<&Expr> = Vec::new();
-        if let Some(pred) = &s.selection {
-            split_conjuncts(pred, &mut conjuncts);
-        }
-        let mut applied = vec![false; conjuncts.len()];
-
-        // FROM
-        let mut working = Working {
-            cols: Vec::new(),
-            rows: vec![Vec::new()], // one empty row for table-less SELECT
-        };
-        for (i, tr) in s.from.iter().enumerate() {
-            let next = self.table_ref(tr, env)?;
-            working = if i == 0 && working.cols.is_empty() {
-                next
-            } else {
-                cross_product(&mut self.stats, working, next)?
-            };
-            // eagerly apply every not-yet-applied conjunct whose columns
-            // (and subqueries — deferred) are now resolvable
-            for (ci, c) in conjuncts.iter().enumerate() {
-                if !applied[ci] && conjunct_resolvable(c, &working.cols) {
-                    working.rows = self.filter_rows(c, working.cols.clone(), working.rows, env)?;
-                    applied[ci] = true;
-                }
-            }
-        }
-
-        // WHERE: remaining conjuncts (correlated / subquery-bearing ones)
-        for (ci, c) in conjuncts.iter().enumerate() {
-            if !applied[ci] {
-                working.rows = self.filter_rows(c, working.cols.clone(), working.rows, env)?;
-            }
-        }
-
-        // grouping?
-        let has_aggregate = s
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-            || s.having.as_ref().is_some_and(|h| h.contains_aggregate())
-            || order_by.iter().any(|o| o.expr.contains_aggregate());
-
-        let (out_cols, mut out_rows) = if !s.group_by.is_empty() || has_aggregate {
-            self.grouped_projection(s, order_by, env, &working)?
-        } else {
-            self.plain_projection(s, order_by, env, &working)?
-        };
-
-        // DISTINCT (keys kept alongside rows: Vec<(row, sortkeys)>)
-        if s.distinct {
-            let mut seen = std::collections::HashSet::new();
-            out_rows.retain(|(row, _)| seen.insert(row.clone()));
-        }
-
-        // ORDER BY via the carried sort keys
-        if !order_by.is_empty() {
-            out_rows.sort_by(|(_, ka), (_, kb)| {
-                for ((va, item), vb) in ka.iter().zip(order_by).zip(kb.iter()) {
-                    let ord = va.total_cmp(vb);
-                    let ord = if item.desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-
-        Ok(Relation::new(
-            out_cols,
-            out_rows.into_iter().map(|(r, _)| r).collect(),
-        ))
-    }
-
-    /// Project without grouping. Returns output columns plus
-    /// `(row, sort_keys)` pairs.
-    #[allow(clippy::type_complexity)]
-    fn plain_projection(
-        &mut self,
-        s: &Select,
-        order_by: &[OrderItem],
-        env: &[Frame],
-        working: &Working,
-    ) -> Result<(Vec<String>, Vec<(Vec<Value>, Vec<Value>)>), ExecError> {
-        let out_cols = projection_names(s, &working.cols);
-        let mut out = Vec::with_capacity(working.rows.len());
-        for row in &working.rows {
-            let mut frames: Vec<Frame> = env
-                .iter()
-                .map(|f| Frame {
-                    cols: f.cols,
-                    row: f.row,
-                })
-                .collect();
-            frames.push(Frame {
-                cols: &working.cols,
-                row,
-            });
-            let mut vals = Vec::with_capacity(s.items.len());
-            for item in &s.items {
-                match item {
-                    SelectItem::Wildcard => vals.extend(row.iter().cloned()),
-                    SelectItem::QualifiedWildcard(q) => {
-                        for (c, v) in working.cols.iter().zip(row) {
-                            if c.binding
-                                .as_deref()
-                                .is_some_and(|b| b.eq_ignore_ascii_case(q))
-                            {
-                                vals.push(v.clone());
-                            }
-                        }
-                    }
-                    SelectItem::Expr { expr, .. } => vals.push(self.expr_single(expr, &frames)?),
-                }
-            }
-            let mut keys = Vec::with_capacity(order_by.len());
-            for o in order_by {
-                keys.push(self.order_key(&o.expr, &frames, s, &vals)?);
-            }
-            out.push((vals, keys));
-        }
-        Ok((out_cols, out))
-    }
-
-    /// Project with grouping and aggregates.
-    #[allow(clippy::type_complexity)]
-    fn grouped_projection(
-        &mut self,
-        s: &Select,
-        order_by: &[OrderItem],
-        env: &[Frame],
-        working: &Working,
-    ) -> Result<(Vec<String>, Vec<(Vec<Value>, Vec<Value>)>), ExecError> {
-        // group rows by the GROUP BY key (empty key = single global group)
-        let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        for (ri, row) in working.rows.iter().enumerate() {
-            let mut frames: Vec<Frame> = env
-                .iter()
-                .map(|f| Frame {
-                    cols: f.cols,
-                    row: f.row,
-                })
-                .collect();
-            frames.push(Frame {
-                cols: &working.cols,
-                row,
-            });
-            let mut key = Vec::with_capacity(s.group_by.len());
-            for g in &s.group_by {
-                key.push(self.expr_single(g, &frames)?);
-            }
-            match index.get(&key) {
-                Some(&gi) => groups[gi].1.push(ri),
-                None => {
-                    index.insert(key.clone(), groups.len());
-                    groups.push((key, vec![ri]));
-                }
-            }
-        }
-        // a global aggregate over zero rows still yields one group
-        if groups.is_empty() && s.group_by.is_empty() {
-            groups.push((Vec::new(), Vec::new()));
-        }
-
-        let out_cols = projection_names(s, &working.cols);
-        let mut out = Vec::with_capacity(groups.len());
-        for (_key, row_ids) in &groups {
-            let rows: Vec<&Vec<Value>> = row_ids.iter().map(|&i| &working.rows[i]).collect();
-            // HAVING
-            if let Some(h) = &s.having {
-                let v = self.expr_grouped(h, env, &working.cols, &rows)?;
-                if !v.is_truthy() {
-                    continue;
-                }
-            }
-            let mut vals = Vec::with_capacity(s.items.len());
-            for item in &s.items {
-                match item {
-                    SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
-                        return Err(ExecError::Unsupported(
-                            "wildcard projection with GROUP BY".into(),
-                        ))
-                    }
-                    SelectItem::Expr { expr, .. } => {
-                        vals.push(self.expr_grouped(expr, env, &working.cols, &rows)?)
-                    }
-                }
-            }
-            let mut keys = Vec::with_capacity(order_by.len());
-            for o in order_by {
-                // alias fast-path first, else grouped evaluation
-                if let Some(v) = alias_key(&o.expr, s, &vals) {
-                    keys.push(v);
-                } else {
-                    keys.push(self.expr_grouped(&o.expr, env, &working.cols, &rows)?);
-                }
-            }
-            out.push((vals, keys));
-        }
-        Ok((out_cols, out))
-    }
-
-    /// Evaluate an ORDER BY key for a plain (non-grouped) row.
-    fn order_key(
-        &mut self,
-        expr: &Expr,
-        frames: &[Frame],
-        s: &Select,
-        out_vals: &[Value],
-    ) -> Result<Value, ExecError> {
-        if let Some(v) = alias_key(expr, s, out_vals) {
-            return Ok(v);
-        }
-        self.expr_single(expr, frames)
-    }
-
-    // ----- FROM handling -----
-
-    fn table_ref(&mut self, tr: &TableRef, env: &[Frame]) -> Result<Working, ExecError> {
-        match tr {
-            TableRef::Named { name, alias } => {
-                let rel = if let Some(r) = self.lookup_cte(name) {
-                    r.clone()
-                } else {
-                    self.db
-                        .table(name)
-                        .ok_or_else(|| ExecError::UnknownTable(name.clone()))?
-                        .clone()
-                };
-                self.stats.rows_scanned += rel.rows.len() as u64;
-                let binding = alias.clone().unwrap_or_else(|| name.clone());
-                Ok(Working {
-                    cols: rel
-                        .columns
-                        .iter()
-                        .map(|c| QCol {
-                            binding: Some(binding.clone()),
-                            name: c.clone(),
-                        })
-                        .collect(),
-                    rows: rel.rows,
-                })
-            }
-            TableRef::Derived { query, alias } => {
-                let rel = self.query(query, env)?;
-                let binding = alias.clone().unwrap_or_default();
-                Ok(Working {
-                    cols: rel
-                        .columns
-                        .iter()
-                        .map(|c| QCol {
-                            binding: Some(binding.clone()),
-                            name: c.clone(),
-                        })
-                        .collect(),
-                    rows: rel.rows,
-                })
-            }
-            TableRef::Join {
-                left,
-                right,
-                kind,
-                constraint,
-            } => {
-                let l = self.table_ref(left, env)?;
-                let r = self.table_ref(right, env)?;
-                self.join(l, r, *kind, constraint, env)
-            }
-        }
-    }
-
-    fn join(
-        &mut self,
-        l: Working,
-        r: Working,
-        kind: JoinKind,
-        constraint: &JoinConstraint,
-        env: &[Frame],
-    ) -> Result<Working, ExecError> {
-        let mut cols = l.cols.clone();
-        cols.extend(r.cols.clone());
-
-        let on_matches = |cx: &mut Cx, lrow: &[Value], rrow: &[Value]| -> Result<bool, ExecError> {
-            match constraint {
-                JoinConstraint::None => Ok(true),
-                JoinConstraint::On(e) => {
-                    let mut combined = lrow.to_vec();
-                    combined.extend(rrow.iter().cloned());
-                    let mut frames: Vec<Frame> = env
-                        .iter()
-                        .map(|f| Frame {
-                            cols: f.cols,
-                            row: f.row,
-                        })
-                        .collect();
-                    frames.push(Frame {
-                        cols: &cols,
-                        row: &combined,
-                    });
-                    Ok(cx.expr_single(e, &frames)?.is_truthy())
-                }
-                JoinConstraint::Using(names) => {
-                    for n in names {
-                        let li = l
-                            .cols
-                            .iter()
-                            .position(|c| c.name.eq_ignore_ascii_case(n))
-                            .ok_or_else(|| ExecError::UnknownColumn(n.clone()))?;
-                        let ri = r
-                            .cols
-                            .iter()
-                            .position(|c| c.name.eq_ignore_ascii_case(n))
-                            .ok_or_else(|| ExecError::UnknownColumn(n.clone()))?;
-                        if lrow[li].sql_eq(&rrow[ri]) != Some(true) {
-                            return Ok(false);
-                        }
-                    }
-                    Ok(true)
-                }
-            }
-        };
-
-        if l.rows.len().saturating_mul(r.rows.len()) > MAX_INTERMEDIATE_ROWS {
-            return Err(ExecError::ResourceLimit);
-        }
-
-        // Hash fast path: a single-equality ON clause between one column of
-        // each side turns the O(|L|·|R|) nested loop into O(|L|+|R|). Only
-        // taken past a small size product — below it the loop is cheaper
-        // than building the table, and per-pair stats stay exact for tests.
-        let hash_cols = match constraint {
-            JoinConstraint::On(e) => equi_join_columns(e, &l.cols, &r.cols),
-            _ => None,
-        };
-        if let Some((li, ri_col)) = hash_cols {
-            if l.rows.len().saturating_mul(r.rows.len()) > 4096 {
-                return Ok(self.hash_join(l, r, kind, cols, li, ri_col));
-            }
-        }
-
-        let mut rows = Vec::new();
-        let mut right_matched = vec![false; r.rows.len()];
-        for lrow in &l.rows {
-            let mut matched = false;
-            for (ri, rrow) in r.rows.iter().enumerate() {
-                self.stats.join_pairs += 1;
-                if on_matches(self, lrow, rrow)? {
-                    matched = true;
-                    right_matched[ri] = true;
-                    let mut row = lrow.clone();
-                    row.extend(rrow.iter().cloned());
-                    rows.push(row);
-                }
-            }
-            if !matched && matches!(kind, JoinKind::Left | JoinKind::Full) {
-                let mut row = lrow.clone();
-                row.extend(std::iter::repeat(Value::Null).take(r.cols.len()));
-                rows.push(row);
-            }
-        }
-        if matches!(kind, JoinKind::Right | JoinKind::Full) {
-            for (ri, rrow) in r.rows.iter().enumerate() {
-                if !right_matched[ri] {
-                    let mut row: Vec<Value> =
-                        std::iter::repeat(Value::Null).take(l.cols.len()).collect();
-                    row.extend(rrow.iter().cloned());
-                    rows.push(row);
-                }
-            }
-        }
-        Ok(Working { cols, rows })
-    }
-
-    /// Equi-join via a hash table on the right side. Preserves left-row
-    /// order (and right-row order within a key), so output is deterministic.
-    fn hash_join(
-        &mut self,
-        l: Working,
-        r: Working,
-        kind: JoinKind,
-        cols: Vec<QCol>,
-        li: usize,
-        ri_col: usize,
-    ) -> Working {
-        let mut table: HashMap<&Value, Vec<usize>> = HashMap::new();
-        for (i, rrow) in r.rows.iter().enumerate() {
-            let key = &rrow[ri_col];
-            if !key.is_null() {
-                table.entry(key).or_default().push(i);
-            }
-        }
-        let mut rows = Vec::new();
-        let mut right_matched = vec![false; r.rows.len()];
-        for lrow in &l.rows {
-            let key = &lrow[li];
-            let matches = if key.is_null() { None } else { table.get(key) };
-            match matches {
-                Some(idxs) => {
-                    self.stats.join_pairs += idxs.len() as u64;
-                    for &ri in idxs {
-                        right_matched[ri] = true;
-                        let mut row = lrow.clone();
-                        row.extend(r.rows[ri].iter().cloned());
-                        rows.push(row);
-                    }
-                }
-                None => {
-                    if matches!(kind, JoinKind::Left | JoinKind::Full) {
-                        let mut row = lrow.clone();
-                        row.extend(std::iter::repeat(Value::Null).take(r.cols.len()));
-                        rows.push(row);
-                    }
-                }
-            }
-        }
-        if matches!(kind, JoinKind::Right | JoinKind::Full) {
-            for (ri, rrow) in r.rows.iter().enumerate() {
-                if !right_matched[ri] {
-                    let mut row: Vec<Value> =
-                        std::iter::repeat(Value::Null).take(l.cols.len()).collect();
-                    row.extend(rrow.iter().cloned());
-                    rows.push(row);
-                }
-            }
-        }
-        Working { cols, rows }
-    }
-
-    // ----- expression evaluation -----
-
-    /// Evaluate an expression against a single-row context.
-    fn expr_single(&mut self, e: &Expr, frames: &[Frame]) -> Result<Value, ExecError> {
-        match e {
-            Expr::Column(c) => resolve_value(c, frames),
-            Expr::Literal(l) => Ok(match l {
-                Literal::Number(v) => Value::Num(*v),
-                Literal::String(s) => Value::Str(s.clone()),
-                Literal::Bool(b) => Value::Bool(*b),
-                Literal::Null => Value::Null,
-            }),
-            Expr::Compare { op, left, right } => {
-                let l = self.expr_single(left, frames)?;
-                let r = self.expr_single(right, frames)?;
-                Ok(compare(*op, &l, &r))
-            }
-            Expr::And(a, b) => {
-                let ta = tri(&self.expr_single(a, frames)?);
-                if ta == Some(false) {
-                    return Ok(Value::Bool(false)); // short-circuit
-                }
-                let tb = tri(&self.expr_single(b, frames)?);
-                Ok(from_tri(and3(ta, tb)))
-            }
-            Expr::Or(a, b) => {
-                let ta = tri(&self.expr_single(a, frames)?);
-                if ta == Some(true) {
-                    return Ok(Value::Bool(true)); // short-circuit
-                }
-                let tb = tri(&self.expr_single(b, frames)?);
-                Ok(from_tri(or3(ta, tb)))
-            }
-            Expr::Not(inner) => {
-                let t = tri(&self.expr_single(inner, frames)?);
-                Ok(from_tri(not3(t)))
-            }
-            Expr::IsNull { expr, negated } => {
-                let v = self.expr_single(expr, frames)?;
-                Ok(Value::Bool(v.is_null() != *negated))
-            }
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                let v = self.expr_single(expr, frames)?;
-                let lo = self.expr_single(low, frames)?;
-                let hi = self.expr_single(high, frames)?;
-                let ge = v.sql_cmp(&lo).map(|o| o != std::cmp::Ordering::Less);
-                let le = v.sql_cmp(&hi).map(|o| o != std::cmp::Ordering::Greater);
-                let inside = and3(ge, le);
-                Ok(from_tri(if *negated { not3(inside) } else { inside }))
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = self.expr_single(expr, frames)?;
-                // x IN (…): TRUE on a match, UNKNOWN if no match but some
-                // comparison was NULL, else FALSE; NOT IN negates in 3VL
-                let mut base: Option<bool> = Some(false);
-                for item in list {
-                    let iv = self.expr_single(item, frames)?;
-                    match v.sql_eq(&iv) {
-                        Some(true) => {
-                            base = Some(true);
-                            break;
-                        }
-                        None => base = None,
-                        Some(false) => {}
-                    }
-                }
-                Ok(from_tri(if *negated { not3(base) } else { base }))
-            }
-            Expr::InSubquery {
-                expr,
-                subquery,
-                negated,
-            } => {
-                let v = self.expr_single(expr, frames)?;
-                self.stats.subquery_evals += 1;
-                let rel = self.query(subquery, frames)?;
-                let mut base: Option<bool> = Some(false);
-                for r in &rel.rows {
-                    match r.first().map(|x| v.sql_eq(x)) {
-                        Some(Some(true)) => {
-                            base = Some(true);
-                            break;
-                        }
-                        Some(None) | None => base = None,
-                        Some(Some(false)) => {}
-                    }
-                }
-                Ok(from_tri(if *negated { not3(base) } else { base }))
-            }
-            Expr::Exists { subquery, negated } => {
-                self.stats.subquery_evals += 1;
-                let rel = self.query(subquery, frames)?;
-                Ok(Value::Bool(rel.rows.is_empty() == *negated))
-            }
-            Expr::ScalarSubquery(q) => {
-                self.stats.subquery_evals += 1;
-                let rel = self.query(q, frames)?;
-                match rel.rows.len() {
-                    0 => Ok(Value::Null),
-                    1 => Ok(rel.rows[0].first().cloned().unwrap_or(Value::Null)),
-                    _ => Err(ExecError::ScalarSubqueryMultiRow),
-                }
-            }
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let v = self.expr_single(expr, frames)?;
-                let p = self.expr_single(pattern, frames)?;
-                match (&v, &p) {
-                    (Value::Str(s), Value::Str(pat)) => {
-                        Ok(Value::Bool(like_match(s, pat) != *negated))
-                    }
-                    (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                    _ => Ok(Value::Bool(false)),
-                }
-            }
-            Expr::Function { name, args, .. } => {
-                if is_aggregate_name(name) {
-                    // aggregate in a single-row context: treat the row as a
-                    // one-row group (occurs in ORDER BY of grouped selects
-                    // handled elsewhere; here be lenient)
-                    return Err(ExecError::Unsupported(format!(
-                        "aggregate {name} outside GROUP BY context"
-                    )));
-                }
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.expr_single(a, frames)?);
-                }
-                scalar_function(name, &vals)
-            }
-            Expr::Wildcard => Err(ExecError::Unsupported("bare * in expression".into())),
-            Expr::Arith { op, left, right } => {
-                let l = self.expr_single(left, frames)?;
-                let r = self.expr_single(right, frames)?;
-                Ok(arith(*op, &l, &r))
-            }
-            Expr::Neg(inner) => {
-                let v = self.expr_single(inner, frames)?;
-                Ok(match v {
-                    Value::Num(x) => Value::Num(-x),
-                    _ => Value::Null,
-                })
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => {
-                let op_val = match operand {
-                    Some(op) => Some(self.expr_single(op, frames)?),
-                    None => None,
-                };
-                for (w, t) in branches {
-                    let wv = self.expr_single(w, frames)?;
-                    let hit = match &op_val {
-                        Some(ov) => ov.sql_eq(&wv) == Some(true),
-                        None => wv.is_truthy(),
-                    };
-                    if hit {
-                        return self.expr_single(t, frames);
-                    }
-                }
-                match else_expr {
-                    Some(e) => self.expr_single(e, frames),
-                    None => Ok(Value::Null),
-                }
-            }
-            Expr::Cast { expr, type_name } => {
-                let v = self.expr_single(expr, frames)?;
-                Ok(cast_value(&v, type_name))
-            }
-        }
-    }
-
-    /// Evaluate an expression in a grouped context: aggregates run over
-    /// `rows`, other column references use the first row of the group.
-    fn expr_grouped(
-        &mut self,
-        e: &Expr,
-        env: &[Frame],
-        cols: &[QCol],
-        rows: &[&Vec<Value>],
-    ) -> Result<Value, ExecError> {
-        match e {
-            Expr::Function {
-                name,
-                args,
-                distinct,
-            } if is_aggregate_name(name) => self.aggregate(name, args, *distinct, env, cols, rows),
-            Expr::And(a, b) => {
-                let ta = tri(&self.expr_grouped(a, env, cols, rows)?);
-                if ta == Some(false) {
-                    return Ok(Value::Bool(false));
-                }
-                let tb = tri(&self.expr_grouped(b, env, cols, rows)?);
-                Ok(from_tri(and3(ta, tb)))
-            }
-            Expr::Or(a, b) => {
-                let ta = tri(&self.expr_grouped(a, env, cols, rows)?);
-                if ta == Some(true) {
-                    return Ok(Value::Bool(true));
-                }
-                let tb = tri(&self.expr_grouped(b, env, cols, rows)?);
-                Ok(from_tri(or3(ta, tb)))
-            }
-            Expr::Not(inner) => {
-                let t = tri(&self.expr_grouped(inner, env, cols, rows)?);
-                Ok(from_tri(not3(t)))
-            }
-            Expr::Compare { op, left, right } => {
-                let l = self.expr_grouped(left, env, cols, rows)?;
-                let r = self.expr_grouped(right, env, cols, rows)?;
-                Ok(compare(*op, &l, &r))
-            }
-            Expr::Arith { op, left, right } => {
-                let l = self.expr_grouped(left, env, cols, rows)?;
-                let r = self.expr_grouped(right, env, cols, rows)?;
-                Ok(arith(*op, &l, &r))
-            }
-            other => {
-                // non-aggregate leaf: evaluate against the group's first row
-                match rows.first() {
-                    Some(first) => {
-                        let mut frames: Vec<Frame> = env
-                            .iter()
-                            .map(|f| Frame {
-                                cols: f.cols,
-                                row: f.row,
-                            })
-                            .collect();
-                        frames.push(Frame { cols, row: first });
-                        self.expr_single(other, &frames)
-                    }
-                    None => Ok(Value::Null),
-                }
-            }
-        }
-    }
-
-    fn aggregate(
-        &mut self,
-        name: &str,
-        args: &[Expr],
-        distinct: bool,
-        env: &[Frame],
-        cols: &[QCol],
-        rows: &[&Vec<Value>],
-    ) -> Result<Value, ExecError> {
-        let upper = name.to_ascii_uppercase();
-        // COUNT(*) — group size
-        if upper == "COUNT" && matches!(args.first(), Some(Expr::Wildcard) | None) {
-            return Ok(Value::Num(rows.len() as f64));
-        }
-        let arg = args
-            .first()
-            .ok_or_else(|| ExecError::Unsupported(format!("{name}()")))?;
-        let mut vals = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut frames: Vec<Frame> = env
-                .iter()
-                .map(|f| Frame {
-                    cols: f.cols,
-                    row: f.row,
-                })
-                .collect();
-            frames.push(Frame { cols, row });
-            let v = self.expr_single(arg, &frames)?;
-            if !v.is_null() {
-                vals.push(v);
-            }
-        }
-        if distinct {
-            let mut seen = std::collections::HashSet::new();
-            vals.retain(|v| seen.insert(v.clone()));
-        }
-        aggregate_value(&upper, &vals)
-            .ok_or_else(|| ExecError::Unsupported(format!("aggregate {name}")))
-    }
-}
-
 /// Finish an aggregate over the non-null (and, if requested, deduplicated)
-/// argument values. `None` for an unrecognized aggregate name — callers
-/// produce the interpreter's `Unsupported` error (the compiled engine
-/// rejects unknown aggregates at compile time instead). Shared by both
-/// engines so the leaf arithmetic is not part of the differential surface.
+/// argument values. `None` for an unrecognized aggregate name (the
+/// compiler rejects those at compile time).
 pub(crate) fn aggregate_value(upper: &str, vals: &[Value]) -> Option<Value> {
     Some(match upper {
         "COUNT" => Value::Num(vals.len() as f64),
@@ -1001,34 +173,6 @@ pub(crate) fn aggregate_value(upper: &str, vals: &[Value]) -> Option<Value> {
         }
         _ => return None,
     })
-}
-
-impl<'a> Cx<'a> {
-    /// Keep rows on which the conjunct is truthy.
-    fn filter_rows(
-        &mut self,
-        pred: &Expr,
-        cols: Vec<QCol>,
-        rows: Vec<Vec<Value>>,
-        env: &[Frame],
-    ) -> Result<Vec<Vec<Value>>, ExecError> {
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut frames: Vec<Frame> = Vec::with_capacity(env.len() + 1);
-            frames.extend(env.iter().map(|f| Frame {
-                cols: f.cols,
-                row: f.row,
-            }));
-            frames.push(Frame {
-                cols: &cols,
-                row: &row,
-            });
-            if self.expr_single(pred, &frames)?.is_truthy() {
-                kept.push(row);
-            }
-        }
-        Ok(kept)
-    }
 }
 
 /// If `e` is a single equality between one column of `lcols` and one of
@@ -1082,39 +226,6 @@ pub(crate) fn split_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
     }
 }
 
-/// Can the conjunct be evaluated with only `cols` available? Conjuncts
-/// containing subqueries are deferred to the end (they may be correlated
-/// against columns of later FROM items).
-fn conjunct_resolvable(e: &Expr, cols: &[QCol]) -> bool {
-    fn check(e: &Expr, cols: &[QCol], ok: &mut bool) {
-        if !*ok {
-            return;
-        }
-        match e {
-            Expr::InSubquery { .. } | Expr::Exists { .. } | Expr::ScalarSubquery(_) => *ok = false,
-            Expr::Column(c) => {
-                let hit = cols.iter().any(|qc| {
-                    qc.name.eq_ignore_ascii_case(&c.name)
-                        && match &c.qualifier {
-                            Some(q) => qc
-                                .binding
-                                .as_deref()
-                                .is_some_and(|b| b.eq_ignore_ascii_case(q)),
-                            None => true,
-                        }
-                });
-                if !hit {
-                    *ok = false;
-                }
-            }
-            other => other.for_each_child(&mut |ch| check(ch, cols, ok)),
-        }
-    }
-    let mut ok = true;
-    check(e, cols, &mut ok);
-    ok
-}
-
 // ----- helpers -----
 
 pub(crate) fn projection_names(s: &Select, working_cols: &[QCol]) -> Vec<String> {
@@ -1144,31 +255,6 @@ pub(crate) fn projection_names(s: &Select, working_cols: &[QCol]) -> Vec<String>
     out
 }
 
-/// If `expr` is a bare column naming a projection alias (or the projected
-/// column itself), return the already-computed output value.
-fn alias_key(expr: &Expr, s: &Select, out_vals: &[Value]) -> Option<Value> {
-    if let Expr::Column(c) = expr {
-        if c.qualifier.is_none() {
-            for (i, item) in s.items.iter().enumerate() {
-                if let SelectItem::Expr { alias: Some(a), .. } = item {
-                    if a.eq_ignore_ascii_case(&c.name) {
-                        return out_vals.get(i).cloned();
-                    }
-                }
-            }
-        }
-    }
-    // expression identical to a projected expression (e.g. ORDER BY count(*))
-    for (i, item) in s.items.iter().enumerate() {
-        if let SelectItem::Expr { expr: pe, .. } = item {
-            if exprs_equal_modulo_case(pe, expr) {
-                return out_vals.get(i).cloned();
-            }
-        }
-    }
-    None
-}
-
 /// Structural equality with case-insensitive function names (ORDER BY
 /// `count(*)` must match projected `COUNT(*)`).
 pub(crate) fn exprs_equal_modulo_case(a: &Expr, b: &Expr) -> bool {
@@ -1195,30 +281,6 @@ pub(crate) fn exprs_equal_modulo_case(a: &Expr, b: &Expr) -> bool {
         }
         _ => a == b,
     }
-}
-
-fn resolve_value(c: &ColumnRef, frames: &[Frame]) -> Result<Value, ExecError> {
-    for frame in frames.iter().rev() {
-        for (qc, v) in frame.cols.iter().zip(frame.row.iter()) {
-            let name_ok = qc.name.eq_ignore_ascii_case(&c.name);
-            if !name_ok {
-                continue;
-            }
-            match &c.qualifier {
-                Some(q) => {
-                    if qc
-                        .binding
-                        .as_deref()
-                        .is_some_and(|b| b.eq_ignore_ascii_case(q))
-                    {
-                        return Ok(v.clone());
-                    }
-                }
-                None => return Ok(v.clone()),
-            }
-        }
-    }
-    Err(ExecError::UnknownColumn(format!("{c}")))
 }
 
 /// Three-valued (Kleene) boolean view of a value: `Some(bool)` or `None`
@@ -1351,7 +413,7 @@ pub(crate) fn scalar_function(name: &str, vals: &[Value]) -> Result<Value, ExecE
 
 /// Names [`scalar_function`] implements, upper-cased — the compiled
 /// engine's whitelist (any other name must reject compilation so the
-/// interpreter's `Unsupported` error is preserved).
+/// reference interpreter's `Unsupported` error is preserved).
 pub(crate) fn is_supported_scalar(upper: &str) -> bool {
     matches!(
         upper,
@@ -1510,24 +572,6 @@ pub(crate) fn scalar_function_upper(upper: &str, vals: &[Value]) -> Result<Value
 /// pushdown on a 12-table Join-Order query) can reach it.
 pub(crate) const MAX_INTERMEDIATE_ROWS: usize = 120_000;
 
-fn cross_product(stats: &mut ExecStats, l: Working, r: Working) -> Result<Working, ExecError> {
-    if l.rows.len().saturating_mul(r.rows.len()) > MAX_INTERMEDIATE_ROWS {
-        return Err(ExecError::ResourceLimit);
-    }
-    let mut cols = l.cols;
-    cols.extend(r.cols);
-    let mut rows = Vec::with_capacity(l.rows.len() * r.rows.len());
-    for lrow in &l.rows {
-        for rrow in &r.rows {
-            stats.join_pairs += 1;
-            let mut row = lrow.clone();
-            row.extend(rrow.iter().cloned());
-            rows.push(row);
-        }
-    }
-    Ok(Working { cols, rows })
-}
-
 pub(crate) fn combine_set(op: &SetOp, all: bool, l: Relation, r: Relation) -> Relation {
     use std::collections::HashSet;
     let cols = l.columns.clone();
@@ -1562,35 +606,4 @@ pub(crate) fn combine_set(op: &SetOp, all: bool, l: Relation, r: Relation) -> Re
             Relation::new(cols, rows)
         }
     }
-}
-
-fn sort_by_output_columns(rel: &mut Relation, order_by: &[OrderItem]) -> Result<(), ExecError> {
-    let mut keys = Vec::new();
-    for item in order_by {
-        match &item.expr {
-            Expr::Column(c) if c.qualifier.is_none() => {
-                let idx = rel
-                    .column_index(&c.name)
-                    .ok_or_else(|| ExecError::UnknownColumn(c.name.clone()))?;
-                keys.push((idx, item.desc));
-            }
-            other => {
-                return Err(ExecError::Unsupported(format!(
-                    "set-operation ORDER BY on expression {}",
-                    squ_parser::print_expr(other)
-                )))
-            }
-        }
-    }
-    rel.rows.sort_by(|a, b| {
-        for (idx, desc) in &keys {
-            let ord = a[*idx].total_cmp(&b[*idx]);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    Ok(())
 }

@@ -2,15 +2,14 @@
 //!
 //! Three substrates the benchmark needs from a database engine:
 //!
-//! * an **executor** ([`execute_query`]) — a hybrid engine: queries are
-//!   lowered by [`compile_query`] into a compiled plan of columnar batch
-//!   operators (vectorized filters, hash joins, hash-index probes, a
-//!   cost-driven join order), and anything the compiler does not cover
-//!   falls back to the tree-walking interpreter
-//!   ([`execute_query_interpreted`]), which remains the executable
-//!   semantics. Both paths are differentially verified against each other
-//!   and used to verify every equivalence / non-equivalence label the
-//!   benchmark produces;
+//! * an **executor** ([`execute_query`]) — queries are lowered by
+//!   [`compile_query`] into a compiled plan of columnar batch operators
+//!   (vectorized filters, hash joins, hash-index probes, a cost-driven join
+//!   order), and anything the compiler does not cover falls back to the
+//!   naive reference interpreter ([`reference_query`]), the engine's one
+//!   executable definition of SQL semantics. The compiled engine is
+//!   differentially verified against it, and the executor verifies every
+//!   equivalence / non-equivalence label the benchmark produces;
 //! * a **witness-database generator** ([`witness_batch`]) — small,
 //!   adversarial random instances of a schema on which transformed query
 //!   pairs are compared;
@@ -44,9 +43,7 @@ mod value;
 mod witness;
 
 pub use cost::{runtime_bucket, CostModel, RUNTIME_BUCKET_EDGES_MS};
-pub use exec::{
-    execute, execute_query, execute_query_interpreted, like_match, ExecError, ExecStats,
-};
+pub use exec::{execute, execute_query, like_match, ExecError, ExecStats};
 pub use index::{indexes_enabled, set_indexes_enabled};
 pub use like::LikeMatcher;
 pub use physical::{compile_query, CompiledQuery};

@@ -12,9 +12,9 @@
 //! leaves *more* room for the segments that follow.
 //!
 //! The compiled engine builds one matcher per constant `LIKE` pattern at
-//! query-compile time ([`crate::physical`]); the interpreter's
-//! [`crate::like_match`] builds one per call, which is still cheaper than
-//! the old recursive walk.
+//! query-compile time ([`crate::physical`]); [`crate::like_match`], which
+//! the reference interpreter and non-constant patterns use, builds one per
+//! call, which is still cheaper than the old recursive walk.
 
 /// One compiled `LIKE` pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]

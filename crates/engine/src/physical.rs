@@ -12,15 +12,15 @@
 //!
 //! **Coverage by construction.** The compiler is partial on purpose: any
 //! construct whose compiled semantics have not been proven equal to the
-//! tree-walking interpreter ([`crate::exec`]) rejects compilation
-//! (`None`), and [`crate::execute_query`] falls back to the interpreter
-//! for the whole query. Compiled programs are *total* — the compiler only
-//! emits operations that cannot error at runtime — which is what makes
-//! eager, batched evaluation value-identical to the interpreter's
-//! short-circuiting tree walk (errors are the only observable effect of
-//! evaluation order). The equivalence is additionally pinned by the
-//! differential fuzzer (`squ-fuzz`), which runs every generated query and
-//! every transform output on both engines.
+//! reference interpreter ([`crate::reference`]) rejects compilation
+//! (`None`), and [`crate::execute_query`] runs the whole query on the
+//! reference interpreter instead. Compiled programs are *total* — the
+//! compiler only emits operations that cannot error at runtime — which is
+//! what makes eager, batched evaluation value-identical to the reference
+//! interpreter's short-circuiting tree walk (errors are the only
+//! observable effect of evaluation order). The equivalence is additionally
+//! pinned by the differential fuzzer (`squ-fuzz`), which runs every
+//! generated query and every transform output on both engines.
 //!
 //! A [`CompiledQuery`] borrows nothing from the database, so one compile
 //! can be executed against many same-schema witness databases (the perf
@@ -54,8 +54,8 @@ pub struct CompiledQuery {
 /// Compile `q` for execution against databases shaped like `db`.
 ///
 /// Returns `None` when any part of the query uses a construct the
-/// compiled engine does not cover; callers fall back to
-/// [`crate::execute_query_interpreted`].
+/// compiled engine does not cover; [`crate::execute_query`] then falls
+/// back to [`crate::reference_query`].
 pub fn compile_query(q: &Query, db: &Database) -> Option<CompiledQuery> {
     let mut c = Compiler {
         db,
@@ -128,8 +128,7 @@ struct PhysSelect {
     access: Access,
     /// WHERE conjuncts, compiled; `step` = earliest executed step at which
     /// all referenced units are joined (None = deferred to the end:
-    /// contains a subquery, mirroring the interpreter's resolvability
-    /// deferral).
+    /// contains a subquery).
     filters: Vec<CFilter>,
     /// Join strategy for executed steps 1..n.
     steps: Vec<StepJoin>,
@@ -185,7 +184,7 @@ enum JOn {
     Prog {
         prog: Program,
         /// `(left offset, right offset)` when ON is a single qualified
-        /// equality — enables the hash path, mirroring the interpreter.
+        /// equality — enables the hash path for large inputs.
         equi: Option<(usize, usize)>,
         /// By-reference fast path over the combined `(lrow, rrow)`
         /// layout — skips the per-pair scratch-row materialization in
@@ -495,14 +494,15 @@ struct HashSpec {
     filter_idx: usize,
     /// `None`: always hash (cost-model decision for WHERE equalities).
     /// `Some(t)`: hash only when the step's row product exceeds `t` —
-    /// mirrors the interpreter's explicit-join fast path so flattened
-    /// INNER joins report the same `join_pairs`; below the threshold the
+    /// mirrors [`exec_join`]'s fast path so flattened INNER joins report
+    /// the same `join_pairs` as unflattened ones; below the threshold the
     /// step nested-loops and the ON filter runs normally.
     threshold: Option<usize>,
 }
 
-/// The interpreter's product threshold above which an explicit
-/// single-equality join switches from nested loop to hash.
+/// Product threshold above which an explicit single-equality join switches
+/// from nested loop to hash: below it the loop is cheaper than building
+/// the table.
 const EXPLICIT_JOIN_HASH_MIN: usize = 4096;
 
 #[derive(Debug, Clone)]
@@ -554,16 +554,6 @@ struct CteMeta {
     cols: Vec<String>,
 }
 
-enum CteHit {
-    Found {
-        up: usize,
-        pos: usize,
-        cols: Vec<String>,
-    },
-    Missing,
-    Ambiguous,
-}
-
 struct Compiler<'a> {
     db: &'a Database,
     cost: CostModel,
@@ -571,8 +561,8 @@ struct Compiler<'a> {
     ctes: Vec<Vec<CteMeta>>,
     /// Inside a subquery slot: restrict to single-table scans so the
     /// runtime cannot hit the row budget (slots are evaluated eagerly,
-    /// and an eager ResourceLimit must not differ from the interpreter's
-    /// lazy one).
+    /// and an eager ResourceLimit must not differ from the lazy one of
+    /// `reference.rs`).
     strict: bool,
 }
 
@@ -588,7 +578,7 @@ impl<'a> Compiler<'a> {
         let mut ctes = Vec::with_capacity(q.ctes.len());
         for cte in &q.ctes {
             // the body sees only *earlier* declarations at this level
-            // (meta is pushed after compiling), mirroring the interpreter,
+            // (meta is pushed after compiling), as in `reference.rs`,
             // where a self-reference resolves to an outer CTE or table.
             let body = self.compile_q(&cte.query)?;
             let meta = CteMeta {
@@ -599,7 +589,7 @@ impl<'a> Compiler<'a> {
             ctes.push(body);
         }
         let body = self.compile_set(&q.body, &q.order_by)?;
-        // the interpreter applies LIMIT/TOP only at the query level; a TOP
+        // `reference.rs` applies LIMIT/TOP only at the query level; a TOP
         // on a set-operation side is (bug-compatibly) ignored.
         let limit = q.limit.or(match &body {
             PhysSet::Select(s) => s.top,
@@ -608,40 +598,16 @@ impl<'a> Compiler<'a> {
         Some(PhysQuery { ctes, body, limit })
     }
 
-    /// Resolve a FROM name against CTE scopes, innermost first.
-    ///
-    /// Two *differently-cased* declarations matching the same reference
-    /// are reported [`CteHit::Ambiguous`] (the interpreter's HashMap makes
-    /// the winner nondeterministic, so the compiler refuses). Exact
-    /// duplicates follow HashMap overwrite: the latest declaration wins.
-    fn lookup_cte(&self, name: &str) -> CteHit {
-        for (up, level) in self.ctes.iter().rev().enumerate() {
-            let mut hit: Option<(usize, &CteMeta)> = None;
-            let mut first_exact: Option<&str> = None;
-            let mut ambiguous = false;
-            for (pos, meta) in level.iter().enumerate() {
-                if !meta.name.eq_ignore_ascii_case(name) {
-                    continue;
-                }
-                match first_exact {
-                    None => first_exact = Some(&meta.name),
-                    Some(seen) if seen != meta.name => ambiguous = true,
-                    Some(_) => {}
-                }
-                hit = Some((pos, meta));
-            }
-            if ambiguous {
-                return CteHit::Ambiguous;
-            }
-            if let Some((pos, meta)) = hit {
-                return CteHit::Found {
-                    up,
-                    pos,
-                    cols: meta.cols.clone(),
-                };
-            }
-        }
-        CteHit::Missing
+    /// Resolve a FROM name against CTE scopes: the latest declaration at
+    /// the innermost level whose name matches ASCII-case-insensitively, as
+    /// in `reference.rs`. Returns `(levels up, position, columns)`.
+    fn lookup_cte(&self, name: &str) -> Option<(usize, usize, &[String])> {
+        self.ctes.iter().rev().enumerate().find_map(|(up, level)| {
+            let pos = level
+                .iter()
+                .rposition(|meta| meta.name.eq_ignore_ascii_case(name))?;
+            Some((up, pos, level[pos].cols.as_slice()))
+        })
     }
 
     fn compile_set(&mut self, body: &SetExpr, order_by: &[OrderItem]) -> Option<PhysSet> {
@@ -657,7 +623,7 @@ impl<'a> Compiler<'a> {
             } => {
                 let l = self.compile_set(left, &[])?;
                 let r = self.compile_set(right, &[])?;
-                // the interpreter sorts set-op results by *output column
+                // `reference.rs` sorts set-op results by *output column
                 // name* only; anything else is Unsupported → reject so the
                 // fallback reproduces the error.
                 let lcols = l.cols();
@@ -690,8 +656,7 @@ impl<'a> Compiler<'a> {
             TableRef::Named { name, alias } => {
                 let binding = alias.clone().unwrap_or_else(|| name.clone());
                 match self.lookup_cte(name) {
-                    CteHit::Ambiguous => None,
-                    CteHit::Found { up, pos, cols } => {
+                    Some((up, pos, cols)) => {
                         let qcols = cols
                             .iter()
                             .map(|c| QCol {
@@ -709,7 +674,7 @@ impl<'a> Compiler<'a> {
                             self.cost.default_card,
                         ))
                     }
-                    CteHit::Missing => {
+                    None => {
                         let rel = self.db.table(name)?;
                         let qcols = rel
                             .columns
@@ -912,7 +877,7 @@ impl<'a> Compiler<'a> {
             split_conjuncts(w, &mut conjuncts);
         }
         // (program, deferred, from_on): ON conjuncts first — they run
-        // before WHERE in the interpreter's join-then-filter order
+        // before WHERE in the join-then-filter order of `reference.rs`
         let mut canon_filters: Vec<(Program, bool, bool)> =
             Vec::with_capacity(on_progs.len() + conjuncts.len());
         for p in on_progs {
@@ -1006,8 +971,8 @@ impl<'a> Compiler<'a> {
                     continue;
                 }
                 // ON-derived equalities always get a spec (gated at
-                // runtime by the interpreter's product threshold); WHERE
-                // equalities hash on the cost model's say-so
+                // runtime by `EXPLICIT_JOIN_HASH_MIN`); WHERE equalities
+                // hash on the cost model's say-so
                 if !from_on[fi] && !self.cost.hash_join_beneficial(acc, unit_est) {
                     continue;
                 }
@@ -1083,7 +1048,7 @@ impl<'a> Compiler<'a> {
         let mut items = Vec::new();
         if grouped {
             if has_wildcard {
-                // the interpreter errors on wildcards in grouped queries;
+                // `reference.rs` errors on wildcards in grouped queries;
                 // reject so the fallback reproduces the error
                 return None;
             }
@@ -1115,7 +1080,7 @@ impl<'a> Compiler<'a> {
                 items: gitems,
             });
         } else {
-            // bug-compatible with the interpreter: HAVING without
+            // bug-compatible with `reference.rs`: HAVING without
             // grouping is ignored on the plain path
             for item in &s.items {
                 match item {
@@ -1153,8 +1118,8 @@ impl<'a> Compiler<'a> {
             let key = match alias_index(&o.expr, s) {
                 Some(i) => {
                     if !grouped && has_wildcard {
-                        // with wildcards the interpreter's output-position
-                        // bookkeeping diverges from item indexes; punt
+                        // with wildcards the output-position bookkeeping of
+                        // `reference.rs` diverges from item indexes; punt
                         return None;
                     }
                     OrderKey::Output(i)
@@ -1424,8 +1389,8 @@ impl<'a> Compiler<'a> {
     }
 
     /// Lower a grouped expression: aggregate calls become [`POp::Agg`]
-    /// slots; non-aggregate subtrees get the empty-group NULL guard the
-    /// interpreter applies before descending.
+    /// slots; non-aggregate subtrees get the empty-group NULL guard
+    /// `reference.rs` applies before descending.
     fn compile_grouped(
         &mut self,
         e: &Expr,
@@ -1455,7 +1420,7 @@ impl<'a> Compiler<'a> {
                 let upper = name.to_ascii_uppercase();
                 let arg = if upper == "COUNT" && matches!(args.first(), Some(Expr::Wildcard) | None)
                 {
-                    None // COUNT(*) — checked before DISTINCT, like the interpreter
+                    None // COUNT(*) — checked before DISTINCT, as in `reference.rs`
                 } else {
                     let a = args.first()?;
                     Some(Program::new(self.compile_plain(a, layout, slots, true)?))
@@ -1493,11 +1458,11 @@ impl<'a> Compiler<'a> {
             }
             other => {
                 if other.contains_aggregate() {
-                    // an aggregate under an operator the interpreter's
-                    // grouped walker doesn't descend through — reject
+                    // an aggregate under an operator the grouped walker of
+                    // `reference.rs` doesn't descend through — reject
                     return None;
                 }
-                // non-aggregate subtree: the interpreter yields NULL for
+                // non-aggregate subtree: `reference.rs` yields NULL for
                 // the whole subtree on an empty group, before evaluating
                 // any leaf (which could otherwise error)
                 let sub = self.compile_plain(other, layout, slots, true)?;
@@ -1510,7 +1475,7 @@ impl<'a> Compiler<'a> {
 
     /// Compile an uncorrelated subquery into a slot. Strict mode keeps the
     /// subquery total (single-table scans only), so eager evaluation
-    /// cannot surface an error the interpreter's lazy path would not.
+    /// cannot surface an error the lazy path of `reference.rs` would not.
     fn compile_slot(
         &mut self,
         q: &Query,
@@ -1533,7 +1498,7 @@ impl<'a> Compiler<'a> {
 // ----- compile-time helpers -----
 
 /// Leftmost canonical offset whose name (and qualifier, if present)
-/// matches — the interpreter's resolution order.
+/// matches — the resolution order of `reference.rs`.
 fn resolve_col(c: &ColumnRef, layout: &[QCol]) -> Option<usize> {
     layout.iter().position(|qc| {
         qc.name.eq_ignore_ascii_case(&c.name)
@@ -1607,7 +1572,7 @@ fn slot_scalar_safe(q: &Query) -> bool {
         || q.order_by.iter().any(|o| o.expr.contains_aggregate())
 }
 
-/// Mirror of the interpreter's ORDER-BY alias resolution: first an
+/// Mirror of the ORDER-BY alias resolution in `reference.rs`: first an
 /// unqualified column name against item aliases, then structural equality
 /// against item expressions. Returns the output position.
 fn alias_index(e: &Expr, s: &Select) -> Option<usize> {
@@ -1760,8 +1725,8 @@ impl PhysSelect {
             });
         }
         // uncorrelated subqueries: evaluated once, eagerly (compiled slots
-        // are total, so eager evaluation is unobservable vs the
-        // interpreter's lazy per-use evaluation)
+        // are total, so eager evaluation is unobservable vs the lazy
+        // per-use evaluation of `reference.rs`)
         let mut slotvals: Vec<SlotVal> = Vec::with_capacity(self.slots.len());
         for s in &self.slots {
             stats.subquery_evals += 1;
@@ -1970,7 +1935,7 @@ impl PhysSelect {
             }
             let mut next: Vec<u32>;
             // threshold-gated specs (flattened explicit joins) only hash
-            // when the product clears the interpreter's cutoff; below it
+            // when the product clears `EXPLICIT_JOIN_HASH_MIN`; below it
             // the step nested-loops and the ON filter runs normally
             let hash_now = self.steps[k - 1].hash.as_ref().filter(|h| {
                 h.threshold
@@ -2020,7 +1985,7 @@ impl PhysSelect {
 
         // restore declaration order: the tuples ARE the source indices the
         // old tag vectors tracked, so a stable sort over them reproduces
-        // the interpreter's nested-loop row order exactly
+        // the product order of `reference.rs` exactly
         if self.reordered && n > 0 {
             let count = tuples.len() / n;
             let mut idx: Vec<u32> = (0..count as u32).collect();
@@ -2428,8 +2393,8 @@ fn exec_source<'x>(
     }
 }
 
-/// Explicit JOIN: budget check, then the interpreter's hash fast path for
-/// large single-equality inner inputs, else a nested loop with the
+/// Explicit JOIN: budget check, then a hash fast path for large
+/// single-equality inputs, else a nested loop with the
 /// compiled ON program. Scan children are borrowed straight from the
 /// database — no input materialization.
 fn exec_join(
@@ -2449,9 +2414,9 @@ fn exec_join(
         ..
     } = &j.on
     {
-        // same hard threshold as the interpreter, so both engines take
-        // the same path and report identical join_pairs
-        if l.len().saturating_mul(r.len()) > 4096 {
+        // the same threshold as flattened joins, so both shapes take the
+        // same path and report identical join_pairs
+        if l.len().saturating_mul(r.len()) > EXPLICIT_JOIN_HASH_MIN {
             return Ok(hash_join_rows(j, l, r, *li, *ri, stats));
         }
     }
@@ -2517,8 +2482,9 @@ fn exec_join(
     Ok(rows)
 }
 
-/// Mirror of the interpreter's right-side hash join: build skips NULL
-/// keys, postings stay in scan order, NULL probe keys pad (outer) or drop.
+/// Right-side hash join: build skips NULL keys, postings stay in scan order
+/// (so rows come out in nested-loop order), NULL probe keys pad (outer) or
+/// drop.
 fn hash_join_rows(
     j: &JoinNode,
     l: &[Vec<Value>],
@@ -2637,7 +2603,8 @@ fn retain_rows(rows: &mut Vec<Vec<Value>>, tags: &mut Option<Vec<Vec<u32>>>, fla
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_query_interpreted;
+    use crate::exec::execute_query;
+    use crate::reference::reference_query;
     use squ_parser::parse_query;
 
     fn db() -> Database {
@@ -2679,13 +2646,13 @@ mod tests {
     }
 
     /// Compile must succeed, and compiled output (columns, rows, *order*)
-    /// must match the interpreter exactly.
+    /// must match the reference interpreter exactly.
     fn parity(sql: &str) -> ExecStats {
         let q = parse_query(sql).unwrap();
         let db = db();
         let cq = compile_query(&q, &db).unwrap_or_else(|| panic!("did not compile: {sql}"));
         let (got, stats) = cq.execute(&db).unwrap();
-        let (want, _) = execute_query_interpreted(&q, &db).unwrap();
+        let want = reference_query(&q, &db).unwrap();
         assert_eq!(got.columns, want.columns, "columns for {sql}");
         assert_eq!(got.rows, want.rows, "rows for {sql}");
         assert_eq!(stats.compiled, 1);
@@ -2702,7 +2669,7 @@ mod tests {
     fn provably_empty_where_short_circuits() {
         // contradictory range: the analyzer proves the block empty, so the
         // compiled engine skips the scan entirely (and still agrees with
-        // the interpreter, which runs unpruned)
+        // the reference interpreter, which never prunes)
         let stats = parity("SELECT name FROM users WHERE id > 5 AND id < 3");
         assert_eq!(stats.empty_prunes, 1);
         assert_eq!(stats.rows_scanned, 0, "prune must skip the scan");
@@ -2731,18 +2698,23 @@ mod tests {
     }
 
     #[test]
-    fn correlated_subquery_falls_back_to_interpreter() {
+    fn correlated_subquery_falls_back_to_reference() {
         let q = parse_query(
             "SELECT id FROM users u WHERE EXISTS (SELECT 1 FROM logs WHERE uid = u.id)",
         )
         .unwrap();
         let db = db();
         assert!(compile_query(&q, &db).is_none(), "correlation must reject");
-        let (rel, stats) = crate::exec::execute_query(&q, &db).unwrap();
-        let (want, _) = execute_query_interpreted(&q, &db).unwrap();
+        let (rel, stats) = execute_query(&q, &db).unwrap();
+        let want = reference_query(&q, &db).unwrap();
+        assert_eq!(rel.columns, want.columns);
         assert_eq!(rel.rows, want.rows);
         assert_eq!(stats.fallbacks, 1);
         assert_eq!(stats.compiled, 0);
+        assert_eq!(stats.rows_output, want.rows.len() as u64);
+        // the reference interpreter keeps no work counters
+        assert_eq!(stats.rows_scanned, 0);
+        assert_eq!(stats.join_pairs, 0);
     }
 
     #[test]
@@ -2806,14 +2778,21 @@ mod tests {
              SELECT id FROM b",
         );
         parity("SELECT dept FROM users INTERSECT SELECT dept FROM depts");
+        // names differing only in case: the latest declaration wins
+        parity("WITH a AS (SELECT 1 AS x), A AS (SELECT 2 AS x) SELECT x FROM a");
     }
 
     #[test]
     fn wildcard_with_aliased_order_key_rejects() {
-        // the interpreter resolves `k` against item positions that don't
-        // line up once the wildcard expands — safest to fall back
+        // the reference interpreter resolves `k` against item positions
+        // that don't line up once the wildcard expands — safest to fall back
         let q = parse_query("SELECT *, id AS k FROM users ORDER BY k").unwrap();
-        assert!(compile_query(&q, &db()).is_none());
+        let db = db();
+        assert!(compile_query(&q, &db).is_none());
+        let (rel, _) = execute_query(&q, &db).unwrap();
+        let want = reference_query(&q, &db).unwrap();
+        assert_eq!(rel.columns, want.columns);
+        assert_eq!(rel.rows, want.rows);
     }
 
     impl CompiledQuery {

@@ -13,7 +13,7 @@
 //! eager stack discipline sound — SQL's `AND`/`OR` short-circuits are
 //! observable only through side effects (errors), so evaluating both
 //! operands and combining with three-valued logic yields the same value
-//! the tree-walking interpreter produces.
+//! the reference interpreter's tree walk produces.
 //!
 //! Uncorrelated subqueries are hoisted: the physical layer evaluates them
 //! once per (query, database) into [`SlotVal`]s, and programs reference
@@ -76,7 +76,7 @@ pub(crate) enum POp {
         matcher: LikeMatcher,
     },
     /// Pop pattern, v; push `v [NOT] LIKE pattern` (non-constant pattern:
-    /// the matcher is built per evaluation, mirroring the interpreter).
+    /// the matcher is built per evaluation, as [`crate::like_match`] does).
     LikeDyn {
         /// `NOT LIKE` when set.
         negated: bool,
@@ -121,8 +121,9 @@ pub(crate) enum POp {
         slot: usize,
     },
     /// If the current group is empty, push NULL and skip the next `n`
-    /// operations (the interpreter short-circuits whole non-aggregate
-    /// subtrees to NULL on empty groups, *before* evaluating leaves).
+    /// operations (the reference interpreter short-circuits whole
+    /// non-aggregate subtrees to NULL on empty groups, *before* evaluating
+    /// leaves).
     SkipIfEmptyGroup(usize),
     /// Push the group's aggregate value for slot `i` (grouped programs
     /// only; the physical layer computes aggregates per group).

@@ -1,29 +1,30 @@
-//! Naive reference interpreter for differential testing.
+//! Naive reference interpreter: the engine's one executable definition of
+//! SQL semantics.
 //!
-//! [`reference_query`] executes the same AST dialect as
-//! [`crate::execute_query`] but with none of its shortcuts: every row of the
-//! FROM list's full cross product is enumerated and the whole WHERE clause
-//! is evaluated on it (no per-conjunct predicate pushdown), and every join
-//! is a straight nested loop (the equi-join hash fast path does not exist
-//! here). A product row is built only once WHERE keeps it, and the row cap
-//! applies to the product's size before any row is built. There is no cost
-//! model and no statistics bookkeeping — just textbook semantics, written
-//! to be obviously correct rather than fast.
+//! [`reference_query`] executes the same AST dialect as the compiled
+//! engine ([`crate::compile_query`]) but with none of its shortcuts: every
+//! row of the FROM list's full cross product is enumerated and the whole
+//! WHERE clause is evaluated on it (no per-conjunct predicate pushdown),
+//! and every join is a straight nested loop (the equi-join hash fast path
+//! does not exist here). A product row is built only once WHERE keeps it,
+//! and the row cap applies to the product's size before any row is built.
+//! There is no cost model and no statistics bookkeeping — just textbook
+//! semantics, written to be obviously correct rather than fast.
 //!
-//! The two interpreters share only the [`Value`] primitives and the leaf
-//! scalar-function library; all relational machinery (scans, joins,
-//! filtering, grouping, set operations, ordering) is implemented twice.
-//! `squ-fuzz` runs both over generated queries on witness databases and
-//! fails if they ever disagree under [`Relation::result_equal`], so a
-//! disagreement localizes a bug to one of the divergent layers — usually
-//! the optimized one.
+//! It has two jobs. [`crate::execute_query`] runs every query the compiler
+//! rejects here, and `squ-fuzz` runs it beside the compiled engine over
+//! generated queries on witness databases, failing if they ever disagree
+//! under [`Relation::result_equal`]. The two share only the [`Value`]
+//! primitives and the leaf `CAST`, `LIKE` and scalar-function library; all
+//! relational machinery (scans, joins, filtering, grouping, set
+//! operations, ordering) is implemented twice, so a disagreement localizes
+//! a bug to one of the divergent layers — usually the optimized one.
 
 use crate::exec::{cast_value, scalar_function, ExecError};
 use crate::{like_match, Database, Relation, Value};
 use squ_parser::ast::*;
 use squ_parser::CompareOp;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// Execute a statement on the reference interpreter. `CREATE TABLE … AS` /
 /// `CREATE VIEW` execute their defining query, like [`crate::execute`].
@@ -43,12 +44,12 @@ pub fn reference_query(q: &Query, db: &Database) -> Result<Relation, ExecError> 
     cx.query(q, &[])
 }
 
-/// Hard ceiling on any intermediate relation, mirroring the executor's
-/// guard. A FROM list's cross product and a join's pair count are held to
-/// it by size, before any of their rows is built. The reference engine hits
-/// it earlier than the optimized one on the same query (no pushdown shrinks
-/// the product), which the differential oracle treats as a skip, not a
-/// disagreement.
+/// Hard ceiling on any intermediate relation, mirroring the compiled
+/// engine's guard. A FROM list's cross product and a join's pair count are
+/// held to it by size, before any of their rows is built. The reference
+/// engine hits it earlier than the compiled one on the same query (no
+/// pushdown shrinks the product), which the differential oracle treats as
+/// a skip, not a disagreement.
 const MAX_ROWS: usize = 120_000;
 
 /// A column of a working relation: optional table binding plus name.
@@ -72,25 +73,28 @@ struct Scope<'a> {
 
 struct Rx<'a> {
     db: &'a Database,
-    ctes: Vec<HashMap<String, Relation>>,
+    /// CTE scopes, innermost last; each lists its declarations in order.
+    ctes: Vec<Vec<(String, Relation)>>,
 }
 
 impl<'a> Rx<'a> {
+    /// The latest declaration at the innermost level whose name matches
+    /// ASCII-case-insensitively.
     fn lookup_cte(&self, name: &str) -> Option<&Relation> {
         self.ctes
             .iter()
             .rev()
-            .find_map(|env| env.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)))
+            .find_map(|env| env.iter().rev().find(|(k, _)| k.eq_ignore_ascii_case(name)))
             .map(|(_, v)| v)
     }
 
     fn query(&mut self, q: &Query, env: &[Scope]) -> Result<Relation, ExecError> {
-        self.ctes.push(HashMap::new());
+        self.ctes.push(Vec::new());
         let result = (|| {
             for cte in &q.ctes {
                 let rel = self.query(&cte.query, env)?;
                 if let Some(top) = self.ctes.last_mut() {
-                    top.insert(cte.name.clone(), rel);
+                    top.push((cte.name.clone(), rel));
                 }
             }
             let mut rel = self.set_expr(&q.body, &q.order_by, env)?;
@@ -1267,6 +1271,19 @@ mod tests {
             rows("SELECT id FROM q, p WHERE v = 'p1'"),
             vec![vec![n(2.0)], vec![n(1.0)]]
         );
+    }
+
+    #[test]
+    fn cte_names_differing_only_in_case_resolve_to_the_latest() {
+        let db = named_db();
+        for _ in 0..64 {
+            let rel = run(
+                "WITH a AS (SELECT 1 AS x), A AS (SELECT 2 AS x) SELECT x FROM a",
+                &db,
+            )
+            .unwrap();
+            assert_eq!(rel.rows, vec![vec![n(2.0)]]);
+        }
     }
 
     #[test]

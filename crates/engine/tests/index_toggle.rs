@@ -6,9 +6,7 @@
 //! race with any test that asserts index-probe counters. One binary, one
 //! test, one process: no interleaving.
 
-use squ_engine::{
-    execute_query, execute_query_interpreted, set_indexes_enabled, Database, Relation, Value,
-};
+use squ_engine::{execute_query, reference_query, set_indexes_enabled, Database, Relation, Value};
 use squ_parser::parse_query;
 
 fn db() -> Database {
@@ -40,7 +38,7 @@ fn disabling_indexes_changes_counters_but_never_results() {
 
     for sql in sqls {
         let q = parse_query(sql).unwrap();
-        let (expected, _) = execute_query_interpreted(&q, &db).unwrap();
+        let expected = reference_query(&q, &db).unwrap();
 
         // enabled: the `bucket = const` scan goes through the hash index
         let (with_idx, stats_on) = execute_query(&q, &db).unwrap();

@@ -185,6 +185,26 @@ fn resource_limit_fires_on_cross_blowup() {
         execute_query(&q, &big).unwrap_err(),
         ExecError::ResourceLimit
     );
+
+    // A query the compiler rejects (correlated EXISTS) runs on the
+    // reference interpreter, which caps the FROM product by size before
+    // WHERE: 6^7 = 279,936 rows exceed the budget even though the
+    // equality chain would keep only 6 of them.
+    let mut six = Database::new("six");
+    let rows: Vec<Vec<Value>> = (0..6).map(|i| vec![n(i as f64)]).collect();
+    six.insert_table("x", Relation::new(vec!["a".into()], rows));
+    let q = parse_query(
+        "SELECT x1.a FROM x AS x1, x AS x2, x AS x3, x AS x4, x AS x5, x AS x6, x AS x7 \
+         WHERE x1.a = x2.a AND x2.a = x3.a AND x3.a = x4.a AND x4.a = x5.a \
+         AND x5.a = x6.a AND x6.a = x7.a \
+         AND EXISTS (SELECT 1 FROM x AS y WHERE y.a = x1.a)",
+    )
+    .unwrap();
+    assert!(squ_engine::compile_query(&q, &six).is_none());
+    assert_eq!(
+        execute_query(&q, &six).unwrap_err(),
+        ExecError::ResourceLimit
+    );
 }
 
 #[test]

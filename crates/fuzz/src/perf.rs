@@ -1,4 +1,4 @@
-//! Compiled-vs-interpreter benchmark over the fuzz generator stream.
+//! Compiled-vs-reference benchmark over the fuzz generator stream.
 //!
 //! [`engine_bench`] replays exactly the queries, witness databases, and
 //! transform pairs a fuzz run with the same `(seed, cases)` would
@@ -9,21 +9,24 @@
 //! * **compiled** — [`squ_engine::compile_query`] once per query, then
 //!   [`squ_engine::CompiledQuery::execute`] across all witness databases
 //!   (plans are database-independent, so this measures the intended
-//!   compile-once / run-many shape);
-//! * **interpreted** — [`squ_engine::execute_query_interpreted`] per
-//!   witness, the tree-walking baseline.
+//!   compile-once / run-many shape); a query the compiler rejects runs
+//!   through [`squ_engine::execute_query`], which falls back;
+//! * **reference** — [`squ_engine::reference_query`] per witness, the
+//!   naive interpreter that defines the semantics.
 //!
 //! Every pair of runs is also compared for result agreement, so the
-//! benchmark doubles as one more differential pass: `divergences` must be
-//! zero on a healthy build. Timings are wall-clock and host-dependent;
-//! everything else in the report is deterministic for `(seed, cases)`.
+//! benchmark doubles as one more differential pass over every transform
+//! output: `divergences` must be zero on a healthy build. Timings are
+//! wall-clock and host-dependent; everything else in the report is
+//! deterministic for `(seed, cases)`.
 
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use squ_engine::{
-    compile_query, execute_query_interpreted, witness_batch_cached, Database, ExecError, Relation,
+    compile_query, execute_query, reference_query, witness_batch_cached, Database, ExecError,
+    Relation,
 };
 use squ_parser::ast::{Query, Statement};
 use squ_schema::analyze;
@@ -33,47 +36,50 @@ use crate::gen::{generate_schema, mix, GenSchema, SCHEMA_POOL};
 use crate::oracle::subject_query;
 use crate::report::EngineCounters;
 
-/// Outcome of the compiled-vs-interpreter benchmark.
+/// Outcome of the compiled-vs-reference benchmark.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineBench {
     /// Cases replayed.
     pub cases: u64,
     /// Wall-clock spent in the compiled path, differential phase.
     pub differential_compiled: Duration,
-    /// Wall-clock spent in the interpreter, differential phase.
-    pub differential_interpreted: Duration,
+    /// Wall-clock spent in the reference interpreter, differential phase.
+    pub differential_reference: Duration,
     /// Wall-clock spent in the compiled path, equivalence-verify phase.
     pub equiv_compiled: Duration,
-    /// Wall-clock spent in the interpreter, equivalence-verify phase.
-    pub equiv_interpreted: Duration,
+    /// Wall-clock spent in the reference interpreter, equivalence-verify
+    /// phase.
+    pub equiv_reference: Duration,
     /// Query executions timed per engine (both phases).
     pub executions: u64,
     /// Executions skipped because exactly one side hit its row budget.
     pub budget_skips: u64,
-    /// Queries the compiler rejected (whole query fell back).
+    /// Queries the compiler rejected (whole query fell back to the
+    /// reference interpreter).
     pub compile_fallbacks: u64,
-    /// Runs where compiled and interpreted results disagreed. Must be 0.
+    /// Runs where compiled and reference results disagreed. Must be 0.
     pub divergences: u64,
-    /// Compiled-path execution counters summed over the whole benchmark.
+    /// Compiled-path execution counters summed over the whole benchmark
+    /// (a fallback adds only to `fallbacks`).
     pub counters: EngineCounters,
 }
 
 impl EngineBench {
-    /// Interpreter-to-compiled wall-clock ratio for the differential
-    /// phase (`> 1` means the compiled path is faster).
+    /// Reference-to-compiled wall-clock ratio for the differential phase
+    /// (`> 1` means the compiled path is faster).
     pub fn differential_speedup(&self) -> f64 {
-        ratio(self.differential_interpreted, self.differential_compiled)
+        ratio(self.differential_reference, self.differential_compiled)
     }
 
-    /// Interpreter-to-compiled ratio for the equivalence-verify phase.
+    /// Reference-to-compiled ratio for the equivalence-verify phase.
     pub fn equiv_speedup(&self) -> f64 {
-        ratio(self.equiv_interpreted, self.equiv_compiled)
+        ratio(self.equiv_reference, self.equiv_compiled)
     }
 
-    /// Interpreter-to-compiled ratio over both phases combined.
+    /// Reference-to-compiled ratio over both phases combined.
     pub fn overall_speedup(&self) -> f64 {
         ratio(
-            self.differential_interpreted + self.equiv_interpreted,
+            self.differential_reference + self.equiv_reference,
             self.differential_compiled + self.equiv_compiled,
         )
     }
@@ -91,18 +97,19 @@ fn ratio(slow: Duration, fast: Duration) -> f64 {
 type Timed = (Result<Relation, ExecError>, Duration);
 
 /// Time the compiled path on `q` over `dbs`: one compilation, then one
-/// execution per database. A compiler rejection falls back to the hybrid
-/// entry point's behavior (interpret) but is tallied separately so the
-/// report shows how much of the stream the compiler covered.
+/// execution per database. A query the compiler rejects runs through
+/// [`execute_query`], whose fallback lands in `counters.fallbacks`, and
+/// is tallied in `compile_fallbacks` so the report shows how much of the
+/// stream the compiler covered.
 ///
 /// Before the timed loop, one untimed execution per database warms the
 /// witness data (page-faults, cache lines): whichever engine touches a
 /// fresh witness first would otherwise pay that one-time memory cost,
 /// and since the compiled side runs first here, skipping the warm-up
 /// would fold the machine's cold-start tax into the compiled bucket
-/// while handing the interpreter pre-warmed caches. Both engines are
-/// measured on warm data; the compiler's own one-time cost stays in the
-/// timed bucket (charged to the first execution below).
+/// while handing the reference interpreter pre-warmed caches. Both
+/// engines are measured on warm data; the compiler's own one-time cost
+/// stays in the timed bucket (charged to the first execution below).
 fn run_compiled(q: &Query, dbs: &[Database], bench: &mut EngineBench) -> Vec<Timed> {
     let t0 = Instant::now();
     let cq = compile_query(q, &dbs[0]);
@@ -115,7 +122,7 @@ fn run_compiled(q: &Query, dbs: &[Database], bench: &mut EngineBench) -> Vec<Tim
         // the deterministic `fuzz.bench.*` totals are unaffected
         let _ = match &cq {
             Some(cq) => cq.execute(db),
-            None => execute_query_interpreted(q, db),
+            None => execute_query(q, db),
         };
     }
     let mut out = Vec::with_capacity(dbs.len());
@@ -123,7 +130,7 @@ fn run_compiled(q: &Query, dbs: &[Database], bench: &mut EngineBench) -> Vec<Tim
         let t = Instant::now();
         let res = match &cq {
             Some(cq) => cq.execute(db),
-            None => execute_query_interpreted(q, db),
+            None => execute_query(q, db),
         };
         let mut elapsed = t.elapsed();
         if i == 0 {
@@ -148,12 +155,12 @@ fn run_compiled(q: &Query, dbs: &[Database], bench: &mut EngineBench) -> Vec<Tim
     out
 }
 
-/// Time the interpreter on `q` over `dbs`.
-fn run_interpreted(q: &Query, dbs: &[Database]) -> Vec<Timed> {
+/// Time the reference interpreter on `q` over `dbs`.
+fn run_reference(q: &Query, dbs: &[Database]) -> Vec<Timed> {
     dbs.iter()
         .map(|db| {
             let t = Instant::now();
-            let res = execute_query_interpreted(q, db).map(|(r, _)| r);
+            let res = reference_query(q, db);
             (res, t.elapsed())
         })
         .collect()
@@ -166,15 +173,15 @@ fn run_interpreted(q: &Query, dbs: &[Database]) -> Vec<Timed> {
 /// row difference diverges.
 fn score(
     compiled: Vec<Timed>,
-    interpreted: Vec<Timed>,
+    reference: Vec<Timed>,
     buckets: (&mut Duration, &mut Duration),
     bench: &mut EngineBench,
 ) {
-    for ((c_res, c_dur), (i_res, i_dur)) in compiled.into_iter().zip(interpreted) {
+    for ((c_res, c_dur), (r_res, r_dur)) in compiled.into_iter().zip(reference) {
         *buckets.0 += c_dur;
-        *buckets.1 += i_dur;
+        *buckets.1 += r_dur;
         bench.executions += 1;
-        match (c_res, i_res) {
+        match (c_res, r_res) {
             (Ok(a), Ok(b)) => {
                 let agree = a.columns.len() == b.columns.len()
                     && a.canonical_digest() == b.canonical_digest();
@@ -197,8 +204,8 @@ fn clean(q: &Query, gs: &GenSchema) -> bool {
 }
 
 /// Replay `cases` cases of the fuzz stream for `seed` and time the
-/// compiled engine against the interpreter on every differential and
-/// metamorphic (equivalence-verify) execution.
+/// compiled engine against the reference interpreter on every
+/// differential and metamorphic (equivalence-verify) execution.
 pub fn engine_bench(seed: u64, cases: u64) -> EngineBench {
     let mut bench = EngineBench {
         cases,
@@ -214,11 +221,11 @@ pub fn engine_bench(seed: u64, cases: u64) -> EngineBench {
 
         // differential phase: the subject query on every witness
         let compiled = run_compiled(&query, &witnesses, &mut bench);
-        let interpreted = run_interpreted(&query, &witnesses);
-        let (mut dc, mut di) = (bench.differential_compiled, bench.differential_interpreted);
-        score(compiled, interpreted, (&mut dc, &mut di), &mut bench);
+        let reference = run_reference(&query, &witnesses);
+        let (mut dc, mut dr) = (bench.differential_compiled, bench.differential_reference);
+        score(compiled, reference, (&mut dc, &mut dr), &mut bench);
         bench.differential_compiled = dc;
-        bench.differential_interpreted = di;
+        bench.differential_reference = dr;
 
         // equivalence-verify phase: every applicable transform pair
         for (ti, tinfo) in catalog.iter().enumerate() {
@@ -232,11 +239,11 @@ pub fn engine_bench(seed: u64, cases: u64) -> EngineBench {
             }
             for q in [&q1, &q2] {
                 let compiled = run_compiled(q, &witnesses, &mut bench);
-                let interpreted = run_interpreted(q, &witnesses);
-                let (mut ec, mut ei) = (bench.equiv_compiled, bench.equiv_interpreted);
-                score(compiled, interpreted, (&mut ec, &mut ei), &mut bench);
+                let reference = run_reference(q, &witnesses);
+                let (mut ec, mut er) = (bench.equiv_compiled, bench.equiv_reference);
+                score(compiled, reference, (&mut ec, &mut er), &mut bench);
                 bench.equiv_compiled = ec;
-                bench.equiv_interpreted = ei;
+                bench.equiv_reference = er;
             }
         }
     }
@@ -250,14 +257,14 @@ mod tests {
     #[test]
     fn bench_replays_cleanly_with_zero_divergences() {
         let b = engine_bench(11, 6);
-        assert_eq!(b.divergences, 0, "compiled and interpreter must agree");
+        assert_eq!(b.divergences, 0, "compiled and reference must agree");
         assert!(b.executions > 0);
         assert!(
             b.counters.compiled > 0,
             "the compiler should cover part of the generated stream"
         );
         assert!(b.differential_compiled > Duration::ZERO);
-        assert!(b.differential_interpreted > Duration::ZERO);
+        assert!(b.differential_reference > Duration::ZERO);
     }
 
     #[test]

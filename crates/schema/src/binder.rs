@@ -17,7 +17,7 @@
 
 use crate::{Column, Schema, SqlType};
 use squ_parser::ast::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// The kind of semantic problem found by the binder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -170,8 +170,9 @@ struct Binding {
 
 struct Binder<'a> {
     schema: &'a Schema,
-    /// CTE environments; inner queries see outer CTEs.
-    ctes: Vec<HashMap<String, Vec<Column>>>,
+    /// CTE environments, innermost last; each lists its declarations in
+    /// order, and inner queries see outer CTEs.
+    ctes: Vec<Vec<(String, Vec<Column>)>>,
     /// Scope stack; inner scopes (subqueries) may reference outer ones
     /// (correlation).
     scopes: Vec<Vec<Binding>>,
@@ -183,7 +184,7 @@ impl<'a> Binder<'a> {
     fn new(schema: &'a Schema) -> Self {
         Binder {
             schema,
-            ctes: vec![HashMap::new()],
+            ctes: vec![Vec::new()],
             scopes: Vec::new(),
             diags: Vec::new(),
             resolution: ResolutionSignature::default(),
@@ -198,23 +199,25 @@ impl<'a> Binder<'a> {
         });
     }
 
+    /// The latest declaration at the innermost level whose name matches
+    /// ASCII-case-insensitively.
     fn lookup_cte(&self, name: &str) -> Option<&Vec<Column>> {
         self.ctes
             .iter()
             .rev()
-            .find_map(|env| env.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)))
+            .find_map(|env| env.iter().rev().find(|(k, _)| k.eq_ignore_ascii_case(name)))
             .map(|(_, v)| v)
     }
 
     fn bind_query(&mut self, q: &Query) {
-        self.ctes.push(HashMap::new());
+        self.ctes.push(Vec::new());
         for cte in &q.ctes {
             self.bind_query(&cte.query);
             let cols = self.infer_output_columns(&cte.query);
             self.ctes
                 .last_mut()
                 .expect("env pushed above") // lint:allow: pushed earlier in this function
-                .insert(cte.name.clone(), cols);
+                .push((cte.name.clone(), cols));
         }
         self.bind_set_expr(&q.body, &q.order_by);
         self.ctes.pop();
@@ -996,6 +999,16 @@ mod tests {
         );
         assert!(kinds("SELECT d.mjd FROM (SELECT plate FROM SpecObj) AS d")
             .contains(&DiagnosticKind::UnknownColumn));
+    }
+
+    #[test]
+    fn cte_names_differing_only_in_case_resolve_to_the_latest() {
+        // `a` matches both declarations; the later `A` (column `y`) wins on
+        // every call, so `x` is unknown every time
+        let sql = "WITH a AS (SELECT 1 AS x), A AS (SELECT 2 AS y) SELECT x FROM a";
+        for _ in 0..64 {
+            assert_eq!(kinds(sql), vec![DiagnosticKind::UnknownColumn], "{sql}");
+        }
     }
 
     #[test]

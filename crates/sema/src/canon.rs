@@ -2,8 +2,8 @@
 //!
 //! `canonicalize` rewrites a query into a normal form such that two queries
 //! with identical canonical forms are equivalent under the benchmark's
-//! result semantics ([`Relation::result_equal`]: multiset of rows, column
-//! order significant, names insignificant). Every rewrite is individually
+//! result semantics (`squ_engine::Relation::result_equal`: multiset of
+//! rows, column order significant, names insignificant). Every rewrite is individually
 //! sound in SQL's three-valued logic:
 //!
 //! - table aliases are renamed positionally (names never reach results);

@@ -8,9 +8,9 @@
 //! and exits non-zero on any oracle violation.
 //!
 //! `perf-smoke` — seeded 300-case differential fuzz run executed by both
-//! the compiled engine and the interpreter on one worker; phase timings
-//! and engine counters land in `target/repro/timings.json`, and any
-//! compiled-vs-reference divergence fails the task.
+//! the compiled engine and the reference interpreter on one worker; phase
+//! timings and engine counters land in `target/repro/timings.json`, and
+//! any compiled-vs-reference divergence fails the task.
 //!
 //! `sema-smoke` — exercise the `squ-sema` semantic analyzer end to end:
 //! `repro --audit` (the static equivalence certifier must convict its
@@ -60,7 +60,7 @@
 //! `crates/core/src` whose arms enumerate most of the six task families
 //! (syntax / tokens / equivalence / performance / explanation /
 //! translation) reintroduces
-//! the duplicated per-task drivers the [`DynTask`] registry replaced. Only
+//! the duplicated per-task drivers the `squ::DynTask` registry replaced. Only
 //! `crates/core/src/registry.rs` — the one designated enumeration point —
 //! is exempt.
 //!
@@ -258,7 +258,7 @@ fn fuzz_smoke(root: &Path) -> i32 {
 const PERF_SMOKE_CASES: &str = "300";
 
 /// Seeded 300-case differential fuzz run through both engines on one
-/// worker. The fuzz mode itself benchmarks compiled vs interpreted over
+/// worker. The fuzz mode itself benchmarks compiled vs reference over
 /// the same stream, writes the phase timings and engine counters to
 /// `target/repro/timings.json`, and exits non-zero on any
 /// compiled-vs-reference divergence — this wrapper just pins the CI
