@@ -9,8 +9,7 @@
 
 use crate::par;
 use crate::store::{fp_fuzz_dialect, Store};
-use crate::timing;
-use squ_fuzz::{engine_bench, run_case, CaseReport, Dialect, EngineBench, FuzzConfig, FuzzReport};
+use squ_fuzz::{run_case, CaseReport, Dialect, FuzzConfig, FuzzReport};
 
 /// Store stage name for fuzz cases.
 const STAGE: &str = "fuzz";
@@ -82,36 +81,6 @@ pub fn run_fuzz_dialect(
 
     let ordered: Vec<CaseReport> = slots.into_iter().flatten().collect();
     FuzzReport::from_cases_in(fuzz_seed, dialect.name(), &ordered)
-}
-
-/// Run the compiled-vs-reference engine benchmark over the same
-/// generator stream a fuzz run with `(fuzz_seed, cases)` would exercise,
-/// recording its phase wall-clock as timing spans and its deterministic
-/// tallies as timing counters (both land in `timings.json`).
-///
-/// Single-threaded by design: the speedup ratio is a per-core comparison,
-/// and interleaving the two engines' work across threads would make the
-/// phase timings meaningless.
-pub fn run_engine_bench(cases: u64, fuzz_seed: u64) -> EngineBench {
-    let bench = engine_bench(fuzz_seed, cases);
-    timing::record("fuzz.differential.compiled", bench.differential_compiled);
-    timing::record("fuzz.differential.reference", bench.differential_reference);
-    timing::record("fuzz.equiv_verify.compiled", bench.equiv_compiled);
-    timing::record("fuzz.equiv_verify.reference", bench.equiv_reference);
-    let c = &bench.counters;
-    timing::count("fuzz.bench.rows_scanned", c.rows_scanned);
-    timing::count("fuzz.bench.join_pairs", c.join_pairs);
-    timing::count("fuzz.bench.batches", c.batches);
-    timing::count("fuzz.bench.index_probes", c.index_probes);
-    timing::count("fuzz.bench.index_hits", c.index_hits);
-    timing::count("fuzz.bench.subquery_evals", c.subquery_evals);
-    timing::count("fuzz.bench.compiled", c.compiled);
-    timing::count("fuzz.bench.fallbacks", c.fallbacks);
-    timing::count("fuzz.bench.empty_prunes", c.empty_prunes);
-    timing::count("fuzz.bench.executions", bench.executions);
-    timing::count("fuzz.bench.budget_skips", bench.budget_skips);
-    timing::count("fuzz.bench.divergences", bench.divergences);
-    bench
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ pub use audit::{audit_suite, AuditReport, Violation};
 pub use experiments::{run_all, run_experiment, Artifact, ExperimentId};
 pub use export::{export_suite, Manifest};
 pub use faults::{run_fault_report, FaultCell, FaultKindStats, FaultReport};
-pub use fuzz::{run_engine_bench, run_fuzz, run_fuzz_dialect};
+pub use fuzz::{run_fuzz, run_fuzz_dialect};
 pub use registry::{registry, DynTask};
 pub use store::{suite_fingerprint, Store};
 pub use suite::{Suite, TaskSet, PAPER_SEED};

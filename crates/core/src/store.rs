@@ -42,7 +42,8 @@ const FAULTS_VERSION: u32 = 1;
 const ABLATION_VERSION: u32 = 1;
 /// Bump when the fuzz generator, oracles, or case-report format change.
 /// Version 4: per-dialect corpora (the case report gained dialect tallies).
-const FUZZ_VERSION: u32 = 4;
+/// Version 5: the differential oracle also compares every transform output.
+const FUZZ_VERSION: u32 = 5;
 /// Bump when the streaming synthesis pipeline (stream layout, controller
 /// math, shard-summary format) changes.
 const SYNTH_VERSION: u32 = 1;

@@ -64,9 +64,6 @@ pub fn mutants_of(sql: &str, rng: &mut StdRng, max: usize) -> Vec<Mutant> {
                 )
             }
             _ => {
-                if spans.len() < 2 {
-                    continue;
-                }
                 let i = rng.gen_range(0..spans.len() - 1);
                 let mut pieces: Vec<&str> = spans.iter().map(|s| s.slice(sql)).collect();
                 pieces.swap(i, i + 1);
@@ -127,9 +124,6 @@ pub fn check_span_consistency(src: &str) -> Result<(), String> {
                 "token {i}: span {start}..{end} overlaps previous token ending at {prev_end}"
             ));
         }
-        // the gap between tokens must be pure whitespace or comment text —
-        // at minimum it must not contain another token's worth of
-        // non-whitespace when the lexer produced no error for it
         prev_end = end;
     }
     Ok(())

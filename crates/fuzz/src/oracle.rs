@@ -1,4 +1,4 @@
-//! The three fuzz oracles and the per-case driver.
+//! The fuzz oracles and the per-case driver.
 //!
 //! Each case is fully determined by `(seed, index)`: the schema slot, the
 //! generated query, the token mutants, every transform's RNG stream, and
@@ -70,7 +70,9 @@ fn clean(q: &Query, gs: &GenSchema) -> bool {
 
 /// Generate the case's subject query: retry the grammar until the binder
 /// accepts the printed-and-reparsed form, with a guaranteed fallback.
-pub(crate) fn subject_query(rng: &mut StdRng, gs: &GenSchema) -> (Query, String) {
+/// Returns the query and its printed SQL; `rng` is the case stream
+/// [`run_case`] seeds from `(seed, index)`.
+pub fn subject_query(rng: &mut StdRng, gs: &GenSchema) -> (Query, String) {
     for _ in 0..GEN_RETRIES {
         let q = generate_query(rng, gs);
         let sql = print_query(&q);
@@ -419,7 +421,11 @@ enum DiffOutcome {
     Disagree(String),
 }
 
-/// Compare `execute_query` and `reference_query` on one witness database.
+/// One `execute_query` run: the result, or why it failed.
+type Run = Result<Relation, ExecError>;
+
+/// Run `q` on `db` with `execute_query` and compare the result with
+/// `reference_query`; returns the engine run alongside the outcome.
 ///
 /// Both failing is agreement (the oracle does not compare error *kinds*:
 /// evaluation order legitimately differs). A lone `ResourceLimit` is a
@@ -427,10 +433,10 @@ enum DiffOutcome {
 /// exhaust the intermediate-row budget on inputs the optimized engine
 /// handles. Any other one-sided error, or differing rows, is a violation.
 ///
-/// Engine-side [`squ_engine::ExecStats`] from the successful hybrid run
-/// are folded into `eng` (failed runs contribute nothing, keeping the
-/// tally deterministic regardless of which side errors first).
-fn diff_on(q: &Query, db: &Database, eng: &mut EngineCounters) -> DiffOutcome {
+/// Engine-side [`squ_engine::ExecStats`] from a successful run are folded
+/// into `eng` (failed runs contribute nothing, keeping the tally
+/// deterministic regardless of which side errors first).
+fn diff_on(q: &Query, db: &Database, eng: &mut EngineCounters) -> (Run, DiffOutcome) {
     let fast = execute_query(q, db).map(|(r, s)| {
         eng.rows_scanned += s.rows_scanned;
         eng.join_pairs += s.join_pairs;
@@ -443,10 +449,9 @@ fn diff_on(q: &Query, db: &Database, eng: &mut EngineCounters) -> DiffOutcome {
         eng.empty_prunes += s.empty_prunes;
         r
     });
-    let slow = reference_query(q, db);
-    match (fast, slow) {
+    let outcome = match (&fast, reference_query(q, db)) {
         (Ok(a), Ok(b)) => {
-            if relations_agree(&a, &b) {
+            if relations_agree(a, &b) {
                 DiffOutcome::Agree
             } else {
                 DiffOutcome::Disagree(format!(
@@ -464,7 +469,18 @@ fn diff_on(q: &Query, db: &Database, eng: &mut EngineCounters) -> DiffOutcome {
         }
         (Ok(_), Err(e)) => DiffOutcome::Disagree(format!("reference failed where engine ran: {e}")),
         (Err(e), Ok(_)) => DiffOutcome::Disagree(format!("engine failed where reference ran: {e}")),
-    }
+    };
+    (fast, outcome)
+}
+
+/// Shrink-predicate probe: does `q` disagree with the reference
+/// interpreter on some witness? Runs against a scratch tally so the
+/// reported counters reflect only the oracle's own runs.
+fn disagrees_somewhere(q: &Query, witnesses: &[Database]) -> bool {
+    let mut scratch = EngineCounters::default();
+    witnesses
+        .iter()
+        .any(|db| matches!(diff_on(q, db, &mut scratch).1, DiffOutcome::Disagree(_)))
 }
 
 /// Row-for-row agreement when the query pins an order (ORDER BY up to
@@ -476,6 +492,7 @@ fn relations_agree(a: &Relation, b: &Relation) -> bool {
     a.columns.len() == b.columns.len() && a.canonical_digest() == b.canonical_digest()
 }
 
+/// The differential oracle on the case's subject query.
 fn oracle_differential(
     report: &mut CaseReport,
     query: &Query,
@@ -483,39 +500,72 @@ fn oracle_differential(
     gs: &GenSchema,
     witnesses: &[Database],
 ) {
+    differential(report, query, sql, witnesses, None, |s| {
+        parse_query(s).is_ok_and(|q| clean(&q, gs) && disagrees_somewhere(&q, witnesses))
+    });
+}
+
+/// The differential oracle on one query — the subject, or output `n` of
+/// the transform labelled `from` — run once per witness: compare each
+/// engine result with the reference interpreter, count every comparison,
+/// and return the engine runs in witness order. The first disagreement is
+/// recorded as a `differential` failure carrying the transform label,
+/// with `sql` shrunk while `still_fails` holds (one failure per query is
+/// enough signal; further witnesses would shrink the same query again).
+fn differential(
+    report: &mut CaseReport,
+    q: &Query,
+    sql: &str,
+    witnesses: &[Database],
+    from: Option<(&str, usize)>,
+    still_fails: impl Fn(&str) -> bool,
+) -> Vec<Run> {
+    let mut runs = Vec::with_capacity(witnesses.len());
+    let mut recorded = false;
     for db in witnesses {
-        match diff_on(query, db, &mut report.engine) {
+        let (run, outcome) = diff_on(q, db, &mut report.engine);
+        runs.push(run);
+        match outcome {
             DiffOutcome::Agree => report.counts.differential_pass += 1,
             DiffOutcome::Skip => report.counts.differential_skip += 1,
             DiffOutcome::Disagree(detail) => {
                 report.counts.differential_fail += 1;
-                let (minimized, minimized_tokens) = shrink_sql(sql, |s| {
-                    let Ok(q) = parse_query(s) else { return false };
-                    if !clean(&q, gs) {
-                        return false;
+                if recorded {
+                    continue;
+                }
+                recorded = true;
+                let (minimized, minimized_tokens) = shrink_sql(sql, &still_fails);
+                let detail = match from {
+                    Some((label, n)) => {
+                        format!("output {n} of `{label}` ({}): {detail}", print_query(q))
                     }
-                    // shrink probes run against a scratch tally so the
-                    // reported counters reflect only the subject query
-                    let mut scratch = EngineCounters::default();
-                    witnesses
-                        .iter()
-                        .any(|db| matches!(diff_on(&q, db, &mut scratch), DiffOutcome::Disagree(_)))
-                });
+                    None => detail,
+                };
                 report.failures.push(Failure {
                     case: report.index,
                     oracle: "differential".to_string(),
-                    transform: None,
+                    transform: from.map(|(label, _)| label.to_string()),
                     sql: sql.to_string(),
                     detail,
                     minimized,
                     minimized_tokens,
                 });
-                // one failure per case is enough signal; further witnesses
-                // would shrink the same query again
-                break;
             }
         }
     }
+    runs
+}
+
+/// Shrink-predicate helper: parse `s` and re-apply `tinfo` with the
+/// case's transform seed. `None` unless the subject and both outputs are
+/// binder-clean, the conditions under which the oracle judged the pair.
+fn reapply(s: &str, tinfo: &TransformInfo, tseed: u64, gs: &GenSchema) -> Option<[Query; 2]> {
+    let q = parse_query(s).ok()?;
+    if !clean(&q, gs) {
+        return None;
+    }
+    let (a, b) = tinfo.apply(&q, &mut StdRng::seed_from_u64(tseed))?;
+    (clean(&a, gs) && clean(&b, gs)).then_some([a, b])
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -540,7 +590,16 @@ fn oracle_metamorphic(
             report.counts.metamorphic_skip += 1;
             continue;
         }
-        let verdict = differential_verdict_skipping_limits(&q1, &q2, witnesses);
+        // each output's differential runs double as the verdict's runs;
+        // shrinking re-applies the transform and re-checks that output
+        let label = tinfo.label();
+        let r1 = differential(report, &q1, sql, witnesses, Some((label, 1)), |s| {
+            reapply(s, tinfo, tseed, gs).is_some_and(|[a, _]| disagrees_somewhere(&a, witnesses))
+        });
+        let r2 = differential(report, &q2, sql, witnesses, Some((label, 2)), |s| {
+            reapply(s, tinfo, tseed, gs).is_some_and(|[_, b]| disagrees_somewhere(&b, witnesses))
+        });
+        let verdict = pair_verdict(r1.into_iter().zip(r2));
         check_certificate(report, tinfo, tseed, &q1, &q2, sql, gs, witnesses, verdict);
         match (tinfo.kind(), verdict) {
             (_, Verdict::Failed) => report.counts.metamorphic_skip += 1,
@@ -549,20 +608,10 @@ fn oracle_metamorphic(
             }
             (TransformKind::Preserving, Verdict::Differed) => {
                 report.counts.preserving_fail += 1;
-                let label = tinfo.label();
                 let (minimized, minimized_tokens) = shrink_sql(sql, |s| {
-                    let Ok(q) = parse_query(s) else { return false };
-                    if !clean(&q, gs) {
-                        return false;
-                    }
-                    let mut r = StdRng::seed_from_u64(tseed);
-                    let Some((a, b)) = tinfo.apply(&q, &mut r) else {
-                        return false;
-                    };
-                    clean(&a, gs)
-                        && clean(&b, gs)
-                        && differential_verdict_skipping_limits(&a, &b, witnesses)
-                            == Verdict::Differed
+                    reapply(s, tinfo, tseed, gs).is_some_and(|[a, b]| {
+                        differential_verdict_skipping_limits(&a, &b, witnesses) == Verdict::Differed
+                    })
                 });
                 report.failures.push(Failure {
                     case: report.index,
@@ -631,17 +680,9 @@ fn check_certificate(
     };
     report.sema.soundness_fail += 1;
     let (minimized, minimized_tokens) = shrink_sql(sql, |s| {
-        let Ok(q) = parse_query(s) else { return false };
-        if !clean(&q, gs) {
-            return false;
-        }
-        let mut r = StdRng::seed_from_u64(tseed);
-        let Some((a, b)) = tinfo.apply(&q, &mut r) else {
+        let Some([a, b]) = reapply(s, tinfo, tseed, gs) else {
             return false;
         };
-        if !clean(&a, gs) || !clean(&b, gs) {
-            return false;
-        }
         match squ_sema::certify_pair(&a, &b, &gs.schema) {
             Certificate::Equivalent(_) => {
                 differential_verdict_skipping_limits(&a, &b, witnesses) == Verdict::Differed
@@ -661,16 +702,15 @@ fn check_certificate(
     });
 }
 
-/// [`squ_tasks::differential_verdict`] over both queries, except that a
-/// `ResourceLimit` on either side skips that witness instead of failing
-/// the pair (mirrors the differential oracle's budget policy).
-fn differential_verdict_skipping_limits(q1: &Query, q2: &Query, witnesses: &[Database]) -> Verdict {
+/// [`squ_tasks::differential_verdict`] over two queries' engine runs,
+/// paired per witness in witness order, except that a `ResourceLimit` on
+/// either side skips that witness instead of failing the pair (mirrors the
+/// differential oracle's budget policy).
+fn pair_verdict(runs: impl IntoIterator<Item = (Run, Run)>) -> Verdict {
     let mut any = false;
-    for db in witnesses {
-        let r1 = execute_query(q1, db);
-        let r2 = execute_query(q2, db);
-        match (r1, r2) {
-            (Ok((a, _)), Ok((b, _))) => {
+    for pair in runs {
+        match pair {
+            (Ok(a), Ok(b)) => {
                 any = true;
                 if !a.result_equal(&b) {
                     return Verdict::Differed;
@@ -685,6 +725,13 @@ fn differential_verdict_skipping_limits(q1: &Query, q2: &Query, witnesses: &[Dat
     } else {
         Verdict::Failed
     }
+}
+
+/// [`pair_verdict`] on fresh engine runs of `q1` and `q2`, for shrink
+/// predicates (the oracle itself reads the runs it already compared).
+fn differential_verdict_skipping_limits(q1: &Query, q2: &Query, witnesses: &[Database]) -> Verdict {
+    let run = |q, db| execute_query(q, db).map(|(r, _)| r);
+    pair_verdict(witnesses.iter().map(|db| (run(q1, db), run(q2, db))))
 }
 
 #[cfg(test)]
@@ -706,10 +753,22 @@ mod tests {
             "oracle violations on a clean build:\n{}",
             report.to_json()
         );
-        assert!(report.counts.roundtrip_pass >= 12);
-        assert!(report.counts.differential_pass > 0);
-        assert!(report.counts.preserving_pass > 0);
-        assert!(report.counts.breaking_distinguished > 0);
+        let c = &report.counts;
+        assert!(c.roundtrip_pass >= 12);
+        assert!(c.differential_pass > 0);
+        assert!(c.preserving_pass > 0);
+        assert!(c.breaking_distinguished > 0);
+        // one differential check per witness for the subject query and for
+        // both outputs of every executed transform pair
+        assert_eq!(c.metamorphic_skip, 0);
+        let pairs = c.preserving_pass
+            + c.preserving_fail
+            + c.breaking_distinguished
+            + c.breaking_undistinguished;
+        assert_eq!(
+            c.differential_pass + c.differential_skip + c.differential_fail,
+            5 * (12 + 2 * pairs)
+        );
     }
 
     #[test]

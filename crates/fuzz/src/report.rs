@@ -8,7 +8,8 @@ use serde::{Deserialize, Serialize};
 
 /// Per-oracle tallies, summed over cases. All fields count *checks*: one
 /// round-trip check per case, one mutation check per mutant, one
-/// differential check per witness database, one metamorphic check per
+/// differential check per witness database for the subject query and for
+/// each output of every applied transform, one metamorphic check per
 /// applicable transform.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OracleCounts {
@@ -21,13 +22,14 @@ pub struct OracleCounts {
     /// Mutants with out-of-bounds / overlapping / non-reconstructing spans,
     /// or whose reparsed form broke the round-trip law.
     pub mutation_fail: u64,
-    /// Witness databases on which engine and reference agreed.
+    /// Engine runs (subject query or transform output, on one witness
+    /// database) that agreed with the reference interpreter.
     pub differential_pass: u64,
-    /// Witness databases skipped because exactly one side hit its
+    /// Engine runs skipped because exactly one side hit its
     /// intermediate-row budget (the reference engine has no pushdown, so it
     /// legitimately exhausts the budget earlier).
     pub differential_skip: u64,
-    /// Witness databases on which the two interpreters disagreed.
+    /// Engine runs that disagreed with the reference interpreter.
     pub differential_fail: u64,
     /// Equivalence-preserving transforms that agreed on every witness.
     pub preserving_pass: u64,
@@ -79,8 +81,9 @@ impl OracleCounts {
     }
 }
 
-/// Engine execution counters accumulated over the differential oracle's
-/// subject-query runs (the hybrid engine side only — reference runs and
+/// Engine execution counters accumulated over every `execute_query` run
+/// the differential oracle compares: the subject query and both outputs of
+/// every applied transform, on each witness database (reference runs and
 /// shrink-predicate probes are not counted). Every field is deterministic
 /// for a given `(seed, index)`, so these survive the byte-identical
 /// across-`--jobs` guarantee.
@@ -98,9 +101,10 @@ pub struct EngineCounters {
     pub index_hits: u64,
     /// Subquery (re-)executions.
     pub subquery_evals: u64,
-    /// Queries that ran on the compiled engine.
+    /// Runs executed by the compiled engine.
     pub compiled: u64,
-    /// Queries that fell back to the tree-walking interpreter.
+    /// Runs the compiler rejected, which `execute_query` answered with the
+    /// reference interpreter.
     pub fallbacks: u64,
     /// Select blocks short-circuited because `squ-sema` proved their WHERE
     /// unsatisfiable at compile time.
@@ -172,10 +176,13 @@ impl SemaCounters {
 pub struct Failure {
     /// Index of the generated case that exposed it.
     pub case: u64,
-    /// Which oracle fired: `round-trip`, `mutation`, `differential`, or
-    /// `metamorphic`.
+    /// Which oracle fired: `round-trip`, `mutation`, `differential`,
+    /// `metamorphic`, `sema`, `sema-certificate`, or `dialect-round-trip`.
     pub oracle: String,
-    /// Transform label for metamorphic failures.
+    /// The transform label (`metamorphic`, `sema-certificate`, and a
+    /// `differential` failure on a transform output), the mutation kind
+    /// (`mutation`), or the dialect name (`dialect-round-trip`); `None`
+    /// otherwise.
     pub transform: Option<String>,
     /// The original failing SQL.
     pub sql: String,
@@ -196,7 +203,7 @@ pub struct CaseReport {
     pub sql: String,
     /// Oracle tallies for this case.
     pub counts: OracleCounts,
-    /// Engine counters from the differential oracle's subject runs.
+    /// Engine counters from the differential oracle's runs.
     pub engine: EngineCounters,
     /// Semantic-analysis oracle tallies for this case.
     pub sema: SemaCounters,
@@ -244,7 +251,7 @@ impl FuzzReport {
             failures.extend(c.failures.iter().cloned());
         }
         FuzzReport {
-            version: 4,
+            version: 5,
             seed,
             dialect: dialect.to_string(),
             cases: cases.len() as u64,

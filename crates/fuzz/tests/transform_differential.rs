@@ -12,9 +12,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use squ_engine::{compile_query, reference_query, witness_batch_cached, ExecError};
-use squ_fuzz::{fallback_query, generate_query, generate_schema, mix, GenSchema, SCHEMA_POOL};
+use squ_fuzz::{generate_schema, mix, subject_query, GenSchema, SCHEMA_POOL};
 use squ_parser::ast::{Query, Statement};
-use squ_parser::{parse_query, print_query};
+use squ_parser::print_query;
 use squ_schema::analyze;
 use squ_tasks::transform_catalog;
 use std::collections::BTreeMap;
@@ -28,22 +28,6 @@ fn clean(q: &Query, gs: &GenSchema) -> bool {
     analyze(&Statement::Query(q.clone()), &gs.schema).is_empty()
 }
 
-/// The fuzz driver's subject-query derivation (same retry + fallback
-/// policy; `squ_fuzz::oracle` keeps its version crate-private).
-fn subject_query(rng: &mut StdRng, gs: &GenSchema) -> Query {
-    for _ in 0..50 {
-        let q = generate_query(rng, gs);
-        let sql = print_query(&q);
-        let Ok(parsed) = parse_query(&sql) else {
-            continue;
-        };
-        if clean(&parsed, gs) {
-            return parsed;
-        }
-    }
-    fallback_query(gs)
-}
-
 #[test]
 fn compiled_engine_agrees_with_reference_on_every_transform_output() {
     let catalog = transform_catalog();
@@ -55,7 +39,7 @@ fn compiled_engine_agrees_with_reference_on_every_transform_output() {
         let slot = index % SCHEMA_POOL;
         let gs = generate_schema(SEED, slot);
         let mut rng = StdRng::seed_from_u64(mix(SEED, 0xCA5E_0000 ^ index));
-        let query = subject_query(&mut rng, &gs);
+        let (query, _) = subject_query(&mut rng, &gs);
         let witnesses = witness_batch_cached(&gs.schema, mix(SEED, 0xB17C_0000 ^ slot));
 
         for (ti, tinfo) in catalog.iter().enumerate() {

@@ -5,12 +5,9 @@
 //!
 //! `fuzz-smoke` — run the `squ-fuzz` oracles on a small fixed-seed budget
 //! (the CI smoke configuration): builds the `repro` binary in release mode
-//! and exits non-zero on any oracle violation.
-//!
-//! `perf-smoke` — seeded 300-case differential fuzz run executed by both
-//! the compiled engine and the reference interpreter on one worker; phase
-//! timings and engine counters land in `target/repro/timings.json`, and
-//! any compiled-vs-reference divergence fails the task.
+//! and exits non-zero on any oracle violation, including any compiled
+//! engine result — subject query or transform output — that disagrees
+//! with the reference interpreter.
 //!
 //! `sema-smoke` — exercise the `squ-sema` semantic analyzer end to end:
 //! `repro --audit` (the static equivalence certifier must convict its
@@ -204,10 +201,6 @@ fn main() {
             let status = fuzz_smoke(&repo_root());
             std::process::exit(status);
         }
-        Some("perf-smoke") => {
-            let status = perf_smoke(&repo_root());
-            std::process::exit(status);
-        }
         Some("sema-smoke") => {
             let status = sema_smoke(&repo_root());
             std::process::exit(status);
@@ -226,15 +219,15 @@ fn main() {
         }
         Some(other) => {
             eprintln!(
-                "unknown task {other:?} (available: lint, fuzz-smoke, perf-smoke, sema-smoke, \
-                 serve-smoke, dialect-smoke, synth-smoke)"
+                "unknown task {other:?} (available: lint, fuzz-smoke, sema-smoke, serve-smoke, \
+                 dialect-smoke, synth-smoke)"
             );
             std::process::exit(2);
         }
         None => {
             eprintln!(
                 "usage: cargo run -p xtask -- \
-                 <lint|fuzz-smoke|perf-smoke|sema-smoke|serve-smoke|dialect-smoke|synth-smoke>"
+                 <lint|fuzz-smoke|sema-smoke|serve-smoke|dialect-smoke|synth-smoke>"
             );
             std::process::exit(2);
         }
@@ -251,25 +244,6 @@ const FUZZ_SMOKE_SEED: &str = "7";
 /// Run `repro --fuzz` with the smoke budget; returns the exit code.
 fn fuzz_smoke(root: &Path) -> i32 {
     run_repro_fuzz(root, "fuzz-smoke", FUZZ_SMOKE_CASES, &[])
-}
-
-/// Case budget for the perf smoke: large enough for the compiled-engine
-/// speedup to dominate noise, small enough for CI.
-const PERF_SMOKE_CASES: &str = "300";
-
-/// Seeded 300-case differential fuzz run through both engines on one
-/// worker. The fuzz mode itself benchmarks compiled vs reference over
-/// the same stream, writes the phase timings and engine counters to
-/// `target/repro/timings.json`, and exits non-zero on any
-/// compiled-vs-reference divergence — this wrapper just pins the CI
-/// budget and `--jobs 1` (the speedup ratio is a per-core comparison).
-fn perf_smoke(root: &Path) -> i32 {
-    run_repro_fuzz(
-        root,
-        "perf-smoke",
-        PERF_SMOKE_CASES,
-        &["--jobs", "1", "--timings"],
-    )
 }
 
 /// Fuzz-case budget for the sema smoke: every case runs the sema oracle
