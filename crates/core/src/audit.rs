@@ -27,7 +27,12 @@
 //! * every equivalence pair runs through the `squ-sema` static certifier,
 //!   whose verdict must never contradict the label — the report tallies
 //!   how many non-equivalence labels the certifier proves without ever
-//!   executing a query ([`CertStats`]).
+//!   executing a query ([`CertStats`]);
+//! * every gold translation must return its source's rows on every witness
+//!   database, on the compiled engine and on the reference interpreter;
+//!   the report counts, per translation set, the witness checks the
+//!   reference interpreter could not decide
+//!   ([`AuditReport::reference_skips`]).
 //!
 //! The report is deterministic: violations appear in canonical dataset
 //! order, rule hits in a [`BTreeMap`], and nothing in the output depends
@@ -55,6 +60,10 @@ pub struct AuditReport {
     /// Static equivalence-certification tallies from the `squ-sema`
     /// certifier across every equivalence pair.
     pub certs: CertStats,
+    /// Per translation set, the witness checks skipped because the
+    /// reference interpreter raised an error on a side (usually its row
+    /// cap); every set has an entry, zeros included.
+    pub reference_skips: BTreeMap<String, usize>,
     /// Every invariant violation, in canonical dataset order.
     pub violations: Vec<Violation>,
 }
@@ -121,6 +130,9 @@ pub fn audit_suite(suite: &Suite, jobs: usize) -> AuditReport {
             *report.rule_hits.entry(code).or_insert(0) += n;
         }
         report.certs.absorb(&s.certs);
+        for (set, n) in s.reference_skips {
+            *report.reference_skips.entry(set).or_insert(0) += n;
+        }
         report.violations.extend(s.violations);
     }
     report

@@ -35,7 +35,8 @@ const WORKLOAD_VERSION: u32 = 1;
 /// Version tag of the paper-artifact experiments.
 const ARTIFACT_VERSION: u32 = 1;
 /// Version tag of the dataset auditor.
-const AUDIT_VERSION: u32 = 2;
+/// Version 3: the report counts reference-interpreter skips per set.
+const AUDIT_VERSION: u32 = 3;
 /// Version tag of the fault-injection sweep.
 const FAULTS_VERSION: u32 = 1;
 /// Version tag of the ablation studies.

@@ -103,9 +103,11 @@ pub struct SynthConfig {
 pub struct ShardSummary {
     /// Target-axis tallies (empty without a target).
     pub counts: RoundCounts,
-    /// Accepted-query histograms over [`HIST_PROPS`].
+    /// Accepted-query histograms, one per property of `HIST_PROPS`, in
+    /// its order.
     pub hist: Vec<Vec<u64>>,
-    /// Accepted-query sketches over [`SKETCH_PROPS`].
+    /// Accepted-query sketches, one per property of `SKETCH_PROPS`, in
+    /// its order.
     pub sketches: Vec<QuantileSketch>,
     /// `(stream index, item fingerprint)` of accepted candidates, in
     /// ascending index order.
@@ -185,9 +187,9 @@ pub struct SynthReport {
     pub target: Option<TargetSpec>,
     /// Per-axis target-vs-achieved summaries (empty without a target).
     pub axes: Vec<AxisReport>,
-    /// Histograms over [`HIST_PROPS`].
+    /// Histograms, one per property of `HIST_PROPS`.
     pub histograms: Vec<HistogramSummary>,
-    /// Quantile summaries over [`SKETCH_PROPS`].
+    /// Quantile summaries, one per property of `SKETCH_PROPS`.
     pub sketches: Vec<SketchSummary>,
     /// XOR-folded item fingerprints per accepted-rank chunk of
     /// [`SYNTH_CHUNK`] (hex); covers exactly the first `requested` items.

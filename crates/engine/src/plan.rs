@@ -282,7 +282,7 @@ fn plan_table_ref(tr: &TableRef, schema: &Schema, model: &CostModel) -> Plan {
 }
 
 /// Greedy cost-driven join order for implicit (comma) joins, used by the
-/// compiled engine ([`crate::physical`]).
+/// compiled engine ([`crate::compile_query`]).
 ///
 /// `cards[i]` estimates the cardinality of FROM unit `i`; `edges` lists
 /// unit pairs connected by an equality predicate. Starts from the

@@ -2,14 +2,18 @@
 //! SQL semantics.
 //!
 //! [`reference_query`] executes the same AST dialect as the compiled
-//! engine ([`crate::compile_query`]) but with none of its shortcuts: every
-//! row of the FROM list's full cross product is enumerated and the whole
-//! WHERE clause is evaluated on it (no per-conjunct predicate pushdown),
-//! and every join is a straight nested loop (the equi-join hash fast path
-//! does not exist here). A product row is built only once WHERE keeps it,
-//! and the row cap applies to the product's size before any row is built.
-//! There is no cost model and no statistics bookkeeping — just textbook
-//! semantics, written to be obviously correct rather than fast.
+//! engine ([`crate::compile_query`]) but with none of its shortcuts: a
+//! FROM list's cross product is walked depth first in FROM order, never
+//! reordered, and every join is a straight nested loop (the equi-join hash
+//! fast path does not exist here). Its one economy is textbook predicate
+//! placement. When no part of a WHERE clause can raise an error, each
+//! top-level `AND` conjunct is tested as soon as the walk has bound every
+//! column it reads, and one that is not TRUE skips that part of the
+//! product; any other WHERE is evaluated whole on every product row. A
+//! product row is built only once WHERE keeps it, and the row cap applies
+//! to the product's size before the walk starts. There is no cost model
+//! and no statistics bookkeeping — just textbook semantics, written to be
+//! obviously correct rather than fast.
 //!
 //! It has two jobs. [`crate::execute_query`] runs every query the compiler
 //! rejects here, and `squ-fuzz` runs it beside the compiled engine over
@@ -47,9 +51,9 @@ pub fn reference_query(q: &Query, db: &Database) -> Result<Relation, ExecError> 
 /// Hard ceiling on any intermediate relation, mirroring the compiled
 /// engine's guard. A FROM list's cross product and a join's pair count are
 /// held to it by size, before any of their rows is built. The reference
-/// engine hits it earlier than the compiled one on the same query (no
-/// pushdown shrinks the product), which the differential oracle treats as
-/// a skip, not a disagreement.
+/// engine hits it earlier than the compiled one on the same query
+/// (placement prunes the walk, not the product it is capped on), which the
+/// differential oracle treats as a skip, not a disagreement.
 const MAX_ROWS: usize = 120_000;
 
 /// A column of a working relation: optional table binding plus name.
@@ -156,16 +160,32 @@ impl<'a> Rx<'a> {
             items.push(item);
         }
 
-        // WHERE: the whole predicate on every row of the product, with no
-        // early filtering whatsoever. Each row is seen through one scope
-        // frame per item, pushed last item first so `resolve` meets the
-        // items in FROM order, and is built only when the predicate keeps
-        // it.
+        // WHERE: placed on the depths of one depth-first walk over the
+        // product (see `walk`). When no part of the WHERE can raise an
+        // error, it is TRUE exactly when each top-level AND conjunct is,
+        // so each conjunct is tested at the shallowest depth that binds
+        // every column it reads. Otherwise the whole WHERE is tested on
+        // each full product row.
+        let mut placed = vec![Vec::new(); items.len() + 1];
+        if let Some(pred) = &s.selection {
+            let conjuncts = conjuncts(pred);
+            let depths: Option<Vec<usize>> =
+                conjuncts.iter().map(|c| depth(c, &items, env)).collect();
+            match depths {
+                Some(depths) => {
+                    for (c, d) in conjuncts.into_iter().zip(depths) {
+                        placed[d].push(c);
+                    }
+                }
+                None => placed[items.len()].push(pred),
+            }
+        }
+        // One scope frame per item, pushed last item first so `resolve`
+        // meets the items in FROM order.
         let mut scopes = rescope(env);
-        let base = scopes.len();
         scopes.extend(items.iter().rev().map(|it| Scope {
             cols: &it.cols,
-            row: it.rows.first().map(Vec::as_slice).unwrap_or_default(),
+            row: &[],
         }));
         let mut working = Rows {
             cols: items
@@ -174,29 +194,7 @@ impl<'a> Rx<'a> {
                 .collect(),
             rows: Vec::new(),
         };
-        let mut at = vec![0; items.len()];
-        for _ in 0..size {
-            let keep = match &s.selection {
-                Some(pred) => self.eval(pred, &scopes)?.is_truthy(),
-                None => true,
-            };
-            if keep {
-                let frames = scopes[base..].iter().rev();
-                working
-                    .rows
-                    .push(frames.flat_map(|f| f.row.iter().cloned()).collect());
-            }
-            // Step the odometer `at` to the next product row, last item
-            // fastest, and point each frame whose item moved at its row.
-            let digits = items.iter().zip(&mut at).rev();
-            for (frame, (it, i)) in scopes[base..].iter_mut().zip(digits) {
-                *i = (*i + 1) % it.rows.len();
-                frame.row = &it.rows[*i];
-                if *i > 0 {
-                    break;
-                }
-            }
-        }
+        self.walk(0, &items, &placed, &mut scopes, &mut working.rows)?;
 
         let grouped = !s.group_by.is_empty()
             || s.items
@@ -233,6 +231,41 @@ impl<'a> Rx<'a> {
             names,
             out.into_iter().map(|(r, _)| r).collect(),
         ))
+    }
+
+    /// Walk the FROM product depth first, with the frames of items
+    /// `0..depth` set: test the conjuncts placed at `depth`, and if all
+    /// hold, point item `depth`'s frame at each of its rows in turn and go
+    /// one deeper, or build the row once every frame is set. Item 0 is
+    /// outermost and the last item moves fastest, so rows come out in
+    /// product order.
+    fn walk<'s>(
+        &mut self,
+        depth: usize,
+        items: &'s [Rows],
+        placed: &[Vec<&Expr>],
+        scopes: &mut [Scope<'s>],
+        out: &mut Vec<Vec<Value>>,
+    ) -> Result<(), ExecError> {
+        for c in &placed[depth] {
+            if !self.eval(c, scopes)?.is_truthy() {
+                return Ok(());
+            }
+        }
+        match items.get(depth) {
+            Some(item) => {
+                let frame = scopes.len() - 1 - depth;
+                for row in &item.rows {
+                    scopes[frame].row = row;
+                    self.walk(depth + 1, items, placed, scopes, out)?;
+                }
+            }
+            None => {
+                let frames = scopes[scopes.len() - items.len()..].iter().rev();
+                out.push(frames.flat_map(|f| f.row.iter().cloned()).collect());
+            }
+        }
+        Ok(())
     }
 
     #[allow(clippy::type_complexity)]
@@ -831,24 +864,76 @@ fn rescope<'a>(env: &'a [Scope]) -> Vec<Scope<'a>> {
 fn resolve(c: &ColumnRef, scopes: &[Scope]) -> Result<Value, ExecError> {
     for scope in scopes.iter().rev() {
         for (rc, v) in scope.cols.iter().zip(scope.row.iter()) {
-            if !rc.name.eq_ignore_ascii_case(&c.name) {
-                continue;
-            }
-            match &c.qualifier {
-                Some(q) => {
-                    if rc
-                        .binding
-                        .as_deref()
-                        .is_some_and(|b| b.eq_ignore_ascii_case(q))
-                    {
-                        return Ok(v.clone());
-                    }
-                }
-                None => return Ok(v.clone()),
+            if binds(rc, c) {
+                return Ok(v.clone());
             }
         }
     }
     Err(ExecError::UnknownColumn(format!("{c}")))
+}
+
+/// Whether `c` names column `rc`: the same name, and the same binding
+/// when `c` is qualified.
+fn binds(rc: &RCol, c: &ColumnRef) -> bool {
+    rc.name.eq_ignore_ascii_case(&c.name)
+        && match &c.qualifier {
+            Some(q) => rc
+                .binding
+                .as_deref()
+                .is_some_and(|b| b.eq_ignore_ascii_case(q)),
+            None => true,
+        }
+}
+
+/// The top-level `AND` operands of `e`, left to right.
+fn conjuncts(e: &Expr) -> Vec<&Expr> {
+    match e {
+        Expr::And(a, b) => {
+            let mut out = conjuncts(a);
+            out.extend(conjuncts(b));
+            out
+        }
+        _ => vec![e],
+    }
+}
+
+/// The walk depth at which `e` can first be tested: one past the last
+/// FROM item its columns bind to, where a column binds to the first item
+/// `resolve` would find it in, and a column only an outer frame has binds
+/// before the walk starts. `None` when `e` could raise an error: it holds
+/// a column that binds nowhere, or a node other than a column, literal,
+/// comparison, `AND`, `OR`, `NOT`, `IS NULL`, `BETWEEN`, `IN` list or
+/// `LIKE`.
+fn depth(e: &Expr, items: &[Rows], env: &[Scope]) -> Option<usize> {
+    let d = |e: &Expr| depth(e, items, env);
+    match e {
+        Expr::Column(c) => match items
+            .iter()
+            .position(|it| it.cols.iter().any(|rc| binds(rc, c)))
+        {
+            Some(i) => Some(i + 1),
+            None => resolve(c, env).is_ok().then_some(0),
+        },
+        Expr::Literal(_) => Some(0),
+        Expr::Compare {
+            left: a, right: b, ..
+        }
+        | Expr::And(a, b)
+        | Expr::Or(a, b)
+        | Expr::Like {
+            expr: a,
+            pattern: b,
+            ..
+        } => Some(d(a)?.max(d(b)?)),
+        Expr::Not(a) | Expr::IsNull { expr: a, .. } => d(a),
+        Expr::Between {
+            expr, low, high, ..
+        } => Some(d(expr)?.max(d(low)?).max(d(high)?)),
+        Expr::InList { expr, list, .. } => {
+            list.iter().try_fold(d(expr)?, |m, x| Some(m.max(d(x)?)))
+        }
+        _ => None,
+    }
 }
 
 fn truth(v: &Value) -> Option<bool> {
@@ -1131,7 +1216,7 @@ mod tests {
     }
 
     #[test]
-    fn reference_has_no_pushdown_but_same_answer_on_implicit_joins() {
+    fn agrees_on_implicit_joins() {
         let (fast, slow) = both(
             "SELECT s.plate FROM SpecObj AS s, PhotoObj AS p \
              WHERE s.bestObjID = p.objID AND p.type > 1",
@@ -1300,5 +1385,66 @@ mod tests {
             rows("SELECT v FROM p WHERE EXISTS (SELECT 1 FROM q WHERE w = 'q1' AND v = 'p2')"),
             vec![vec![s("p2")]]
         );
+    }
+
+    #[test]
+    fn placement_never_hides_an_error() {
+        // `x = NULL` is never TRUE, so pruning on it would skip the
+        // conjunct that raises; a WHERE that can raise is never placed
+        let db = named_db();
+        assert_eq!(
+            run(
+                "SELECT x FROM a, b WHERE x = NULL AND y = (SELECT y FROM b)",
+                &db
+            )
+            .unwrap_err(),
+            ExecError::ScalarSubqueryMultiRow
+        );
+        assert_eq!(
+            run("SELECT x FROM a, b WHERE x = NULL AND nope = 1", &db).unwrap_err(),
+            ExecError::UnknownColumn("nope".into())
+        );
+    }
+
+    #[test]
+    fn placed_and_whole_where_agree() {
+        let mut db = named_db();
+        db.insert_table(
+            "m",
+            Relation::new(
+                vec!["id".into(), "t".into()],
+                vec![
+                    vec![n(1.0), s("a%b")],
+                    vec![Value::Null, Value::Null],
+                    vec![n(2.0), s("xyz")],
+                ],
+            ),
+        );
+        // `{}` closes the WHERE under test: empty, every case is placed;
+        // with a function call appended, none is
+        for sql in [
+            // a conjunct on item 0 only
+            "SELECT * FROM p, b, q WHERE v = 'p2'{}",
+            // a conjunct spanning items 0 and 2, and one on item 1
+            "SELECT * FROM a, b, c WHERE x = z AND y <> 1{}",
+            // an OR across items
+            "SELECT * FROM a, b, c WHERE (x = 1 OR z = 0){}",
+            "SELECT * FROM m, a, b WHERE t IS NOT NULL AND y BETWEEN x AND 2{}",
+            "SELECT * FROM a, m, b WHERE m.id IN (0, 2, y) AND NOT t LIKE 'a%'{}",
+            // comparisons that yield NULL on m's second row
+            "SELECT * FROM m, a, b WHERE NOT (m.id = y) AND t <> 'q'{}",
+            "SELECT * FROM a, m, c WHERE (m.id IS NULL OR m.id > z){}",
+            // `id` binds to q, the first item that has it
+            "SELECT * FROM q, a, p WHERE id = 1 AND p.id = 2 AND x = 0{}",
+            // `p.id` binds in the outer frame only
+            "SELECT v FROM p WHERE EXISTS \
+             (SELECT 1 FROM a, b, c WHERE x = p.id AND y > z{})",
+        ] {
+            let placed = run(&sql.replace("{}", ""), &db).unwrap();
+            let whole = run(&sql.replace("{}", " AND ABS(0) = 0"), &db).unwrap();
+            assert_eq!(placed.columns, whole.columns, "{sql}");
+            assert_eq!(placed.rows, whole.rows, "{sql}");
+            assert!(!placed.rows.is_empty(), "{sql}");
+        }
     }
 }

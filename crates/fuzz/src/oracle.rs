@@ -429,9 +429,9 @@ type Run = Result<Relation, ExecError>;
 ///
 /// Both failing is agreement (the oracle does not compare error *kinds*:
 /// evaluation order legitimately differs). A lone `ResourceLimit` is a
-/// skip — the reference interpreter has no predicate pushdown, so it can
-/// exhaust the intermediate-row budget on inputs the optimized engine
-/// handles. Any other one-sided error, or differing rows, is a violation.
+/// skip — the reference interpreter caps a FROM product by its size,
+/// before WHERE prunes it, so it can exhaust the intermediate-row budget
+/// on inputs the optimized engine handles. Any other one-sided error, or differing rows, is a violation.
 ///
 /// Engine-side [`squ_engine::ExecStats`] from a successful run are folded
 /// into `eng` (failed runs contribute nothing, keeping the tally

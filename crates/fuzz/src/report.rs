@@ -26,8 +26,9 @@ pub struct OracleCounts {
     /// database) that agreed with the reference interpreter.
     pub differential_pass: u64,
     /// Engine runs skipped because exactly one side hit its
-    /// intermediate-row budget (the reference engine has no pushdown, so it
-    /// legitimately exhausts the budget earlier).
+    /// intermediate-row budget (the reference engine caps a FROM product
+    /// by its size, before WHERE prunes it, so it legitimately exhausts the
+    /// budget earlier).
     pub differential_skip: u64,
     /// Engine runs that disagreed with the reference interpreter.
     pub differential_fail: u64,

@@ -83,8 +83,9 @@ impl Schemas {
 }
 
 /// Per-section audit accumulator: rule-hit counts, checked-artifact count,
-/// and the violations a task's checks record. Sections are merged in
-/// canonical order by the driver, so reports are thread-count independent.
+/// reference-interpreter skips, and the violations a task's checks record.
+/// Sections are merged in canonical order, so reports are thread-count
+/// independent.
 pub struct AuditCtx {
     schemas: Schemas,
     /// Artifacts linted so far.
@@ -95,6 +96,10 @@ pub struct AuditCtx {
     pub violations: Vec<Violation>,
     /// Static equivalence-certification tallies.
     pub certs: CertStats,
+    /// Witness checks per dataset, e.g. `translate/SDSS`, that the
+    /// reference interpreter could not decide because it raised an error
+    /// on a side (usually its row cap).
+    pub reference_skips: BTreeMap<String, usize>,
 }
 
 impl AuditCtx {
@@ -109,6 +114,7 @@ impl AuditCtx {
             hits: BTreeMap::new(),
             violations: Vec::new(),
             certs: CertStats::default(),
+            reference_skips: BTreeMap::new(),
         }
     }
 
