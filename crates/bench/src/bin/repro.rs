@@ -13,7 +13,7 @@
 //! repro --fuzz 500 --fuzz-seed 7          # reseed the fuzz generator (default 0)
 //! repro --fuzz 500 --dialect tsql         # per-dialect corpus (sqlite/postgres/mysql/tsql)
 //! repro --synth 1000000    # stream-synthesize 1M queries, write synth.json
-//! repro --synth 1000000 --shards 8        # build each round as 8 shard partitions
+//! repro --synth 1000000 --shards 8        # build each round as 8 shard partitions (at most 131072)
 //! repro --synth 50000 --target spec.json  # steer toward a distribution target
 //! repro --serve 127.0.0.1:0               # serve /eval /suite /healthz /statz
 //! repro --serve ADDR --serve-store DIR    # serve over an explicit store root
@@ -45,7 +45,8 @@
 //! sharded synthesis pipeline and writes `target/repro/synth.json` —
 //! sketch summaries, histograms, chunk fingerprints, acceptance rates —
 //! byte-identical for any `--jobs` *and any `--shards`* value. Peak
-//! memory is bounded by the round budget, not N. With `--target` the run
+//! memory is bounded by the round budget (2^17 candidates), not N, and
+//! `--shards` above that budget exits 2. With `--target` the run
 //! additionally steers the accepted distribution toward the spec and
 //! exits 1 if it cannot converge; a failed sketch spot-check or an
 //! exhausted round budget also exits 1.
@@ -68,6 +69,7 @@ use squ::{
 use squ_parser::Dialect;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,266 +143,207 @@ impl Default for Opts {
     }
 }
 
+/// One flag of the command line: its name, what its value must be as the
+/// flag's errors word it (`None` for a switch, which takes no value), and
+/// the mode flag it requires.
+struct Flag(&'static str, Option<&'static str>, Option<&'static str>);
+
+/// Every flag, each mode followed by the flags that require it. A value is
+/// the next argument unless that is itself a flag; only `--export`'s may
+/// be left out.
+const FLAGS: &[Flag] = &[
+    Flag("--list", None, None),
+    Flag("--ablations", None, None),
+    Flag("--audit", None, None),
+    Flag("--export", Some("a directory"), None),
+    Flag("--only", Some("a slug"), None),
+    Flag("--faults", Some("a profile name"), None),
+    Flag("--fault-seed", Some("an integer"), Some("--faults")),
+    Flag("--fault-gate", Some("a rate in [0,1]"), Some("--faults")),
+    Flag("--fuzz", Some("a case count"), None),
+    Flag("--fuzz-seed", Some("an integer"), Some("--fuzz")),
+    Flag("--dialect", Some("a dialect name"), Some("--fuzz")),
+    Flag("--serve", Some("a bind address (host:port)"), None),
+    Flag("--serve-store", Some("a directory"), Some("--serve")),
+    Flag("--serve-inflight", Some("an integer"), Some("--serve")),
+    Flag("--synth", Some("a query count"), None),
+    Flag("--shards", Some("a positive integer"), Some("--synth")),
+    Flag("--target", Some("a spec file path"), Some("--synth")),
+    Flag("--seed", Some("an integer"), None),
+    Flag("--jobs", Some("a positive integer"), None),
+    Flag("--timings", None, None),
+    Flag("--resume", None, None),
+    Flag("--store-stats", None, None),
+];
+
+/// The mode-selecting flags, in the order a conflict names them.
+const MODES: &[&str] = &[
+    "--list",
+    "--ablations",
+    "--audit",
+    "--export",
+    "--faults",
+    "--fuzz",
+    "--synth",
+    "--only",
+    "--serve",
+];
+
 /// Parse arguments (everything after the binary name).
 ///
-/// Every flag may appear at most once, and the mode-selecting flags
-/// (`--list`, `--ablations`, `--audit`, `--export`, `--faults`, `--fuzz`,
-/// `--only`) are mutually exclusive — a repeated or conflicting flag is a
-/// hard error, never silently last-one-wins. Dependent flags
-/// (`--fault-seed`/`--fault-gate`, `--fuzz-seed`) require their parent
-/// mode, in any argument order.
+/// Every flag may appear at most once, and the flags of [`MODES`] are
+/// mutually exclusive — a repeated or conflicting flag is a hard error,
+/// never silently last-one-wins. A flag with a parent in [`FLAGS`]
+/// requires that mode, in any argument order.
 fn parse_args(args: &[String]) -> Result<Opts, String> {
-    let mut opts = Opts::default();
-    let mut seen: Vec<String> = Vec::new();
-    let mut i = 0;
-    // a flag's value is the next token unless it is another flag
-    let value_of =
-        |args: &[String], i: usize| args.get(i + 1).filter(|a| !a.starts_with("--")).cloned();
-    while i < args.len() {
-        let flag = &args[i];
-        if flag.starts_with("--") {
-            if seen.contains(flag) {
-                return Err(format!("duplicate flag {flag}"));
-            }
-            seen.push(flag.clone());
+    let mut given = Given(Vec::new());
+    let mut args = args.iter().map(String::as_str).peekable();
+    while let Some(arg) = args.next() {
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.0 == arg)
+            .ok_or_else(|| format!("unknown argument {arg:?} (try --list)"))?;
+        if given.has(arg) {
+            return Err(format!("duplicate flag {arg}"));
         }
-        match args[i].as_str() {
-            "--list" => opts.list = true,
-            "--ablations" => opts.ablations = true,
-            "--audit" => opts.audit = true,
-            "--timings" => opts.timings = true,
-            "--resume" => opts.resume = true,
-            "--store-stats" => opts.store_stats = true,
-            "--export" => {
-                let dir = value_of(args, i);
-                if dir.is_some() {
-                    i += 1;
-                }
-                opts.export = Some(dir.unwrap_or_else(|| "target/benchmark-export".to_string()));
-            }
-            "--only" => {
-                opts.only =
-                    Some(value_of(args, i).ok_or_else(|| "--only needs a slug".to_string())?);
-                i += 1;
-            }
-            "--faults" => {
-                let name = value_of(args, i).ok_or_else(|| {
-                    format!(
-                        "--faults needs a profile name (one of {})",
-                        FaultProfile::NAMES.join(", ")
-                    )
-                })?;
-                if FaultProfile::by_name(&name).is_none() {
-                    return Err(format!(
-                        "unknown fault profile {name:?} (one of {})",
-                        FaultProfile::NAMES.join(", ")
-                    ));
-                }
-                opts.faults = Some(name);
-                i += 1;
-            }
-            "--fault-seed" => {
-                let raw =
-                    value_of(args, i).ok_or_else(|| "--fault-seed needs an integer".to_string())?;
-                opts.fault_seed = raw
-                    .parse()
-                    .map_err(|_| format!("--fault-seed needs an integer, got {raw:?}"))?;
-                i += 1;
-            }
-            "--fault-gate" => {
-                let raw = value_of(args, i)
-                    .ok_or_else(|| "--fault-gate needs a rate in [0,1]".to_string())?;
-                let rate: f64 = raw
-                    .parse()
-                    .map_err(|_| format!("--fault-gate needs a rate in [0,1], got {raw:?}"))?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(format!("--fault-gate needs a rate in [0,1], got {raw:?}"));
-                }
-                opts.fault_gate = Some(rate);
-                i += 1;
-            }
-            "--fuzz" => {
-                let raw =
-                    value_of(args, i).ok_or_else(|| "--fuzz needs a case count".to_string())?;
-                let n: u64 = raw
-                    .parse()
-                    .map_err(|_| format!("--fuzz needs a case count, got {raw:?}"))?;
-                if n == 0 {
-                    return Err("--fuzz needs a positive case count, got 0".to_string());
-                }
-                opts.fuzz = Some(n);
-                i += 1;
-            }
-            "--serve" => {
-                opts.serve = Some(
-                    value_of(args, i)
-                        .ok_or_else(|| "--serve needs a bind address (host:port)".to_string())?,
-                );
-                i += 1;
-            }
-            "--serve-store" => {
-                opts.serve_store = Some(
-                    value_of(args, i)
-                        .ok_or_else(|| "--serve-store needs a directory".to_string())?,
-                );
-                i += 1;
-            }
-            "--serve-inflight" => {
-                let raw = value_of(args, i)
-                    .ok_or_else(|| "--serve-inflight needs an integer".to_string())?;
-                opts.serve_inflight = Some(
-                    raw.parse()
-                        .map_err(|_| format!("--serve-inflight needs an integer, got {raw:?}"))?,
-                );
-                i += 1;
-            }
-            "--dialect" => {
-                let name = value_of(args, i).ok_or_else(|| {
-                    format!(
-                        "--dialect needs a dialect name (one of {})",
-                        Dialect::NAMES.join(", ")
-                    )
-                })?;
-                if Dialect::by_name(&name).is_none() {
-                    return Err(format!(
-                        "unknown dialect {name:?} (one of {})",
-                        Dialect::NAMES.join(", ")
-                    ));
-                }
-                opts.dialect = Some(name);
-                i += 1;
-            }
-            "--synth" => {
-                let raw =
-                    value_of(args, i).ok_or_else(|| "--synth needs a query count".to_string())?;
-                let n: u64 = raw
-                    .parse()
-                    .map_err(|_| format!("--synth needs a query count, got {raw:?}"))?;
-                if n == 0 {
-                    return Err("--synth needs a positive query count, got 0".to_string());
-                }
-                opts.synth = Some(n);
-                i += 1;
-            }
-            "--shards" => {
-                let raw = value_of(args, i)
-                    .ok_or_else(|| "--shards needs a positive integer".to_string())?;
-                let n: usize = raw
-                    .parse()
-                    .map_err(|_| format!("--shards needs a positive integer, got {raw:?}"))?;
-                if n == 0 {
-                    return Err("--shards needs a positive integer, got 0".to_string());
-                }
-                opts.shards = Some(n);
-                i += 1;
-            }
-            "--target" => {
-                opts.target = Some(
-                    value_of(args, i)
-                        .ok_or_else(|| "--target needs a spec file path".to_string())?,
-                );
-                i += 1;
-            }
-            "--fuzz-seed" => {
-                let raw =
-                    value_of(args, i).ok_or_else(|| "--fuzz-seed needs an integer".to_string())?;
-                opts.fuzz_seed = raw
-                    .parse()
-                    .map_err(|_| format!("--fuzz-seed needs an integer, got {raw:?}"))?;
-                i += 1;
-            }
-            "--seed" => {
-                let raw = value_of(args, i).ok_or_else(|| "--seed needs an integer".to_string())?;
-                opts.seed = raw
-                    .parse()
-                    .map_err(|_| format!("--seed needs an integer, got {raw:?}"))?;
-                i += 1;
-            }
-            "--jobs" => {
-                let raw = value_of(args, i)
-                    .ok_or_else(|| "--jobs needs a positive integer".to_string())?;
-                let n: usize = raw
-                    .parse()
-                    .map_err(|_| format!("--jobs needs a positive integer, got {raw:?}"))?;
-                if n == 0 {
-                    return Err("--jobs needs a positive integer, got 0".to_string());
-                }
-                opts.jobs = Some(n);
-                i += 1;
-            }
-            other => return Err(format!("unknown argument {other:?} (try --list)")),
-        }
-        i += 1;
+        let value = flag.1.and_then(|_| args.next_if(|a| !a.starts_with("--")));
+        given.0.push((flag, value));
     }
 
-    // Mode flags are mutually exclusive. Checked after the full parse so
-    // the diagnosis is order-independent.
-    let mut modes: Vec<&str> = Vec::new();
-    if opts.list {
-        modes.push("--list");
-    }
-    if opts.ablations {
-        modes.push("--ablations");
-    }
-    if opts.audit {
-        modes.push("--audit");
-    }
-    if opts.export.is_some() {
-        modes.push("--export");
-    }
-    if opts.faults.is_some() {
-        modes.push("--faults");
-    }
-    if opts.fuzz.is_some() {
-        modes.push("--fuzz");
-    }
-    if opts.synth.is_some() {
-        modes.push("--synth");
-    }
-    if opts.only.is_some() {
-        modes.push("--only");
-    }
-    if opts.serve.is_some() {
-        modes.push("--serve");
-    }
+    let d = Opts::default();
+    let opts = Opts {
+        list: given.has("--list"),
+        ablations: given.has("--ablations"),
+        audit: given.has("--audit"),
+        timings: given.has("--timings"),
+        export: given
+            .find("--export")
+            .map(|(_, dir)| dir.unwrap_or("target/benchmark-export").to_string()),
+        only: given.text("--only")?,
+        faults: given.choice("--faults", &FaultProfile::NAMES, "fault profile", |n| {
+            FaultProfile::by_name(n).is_some()
+        })?,
+        fault_seed: given.int("--fault-seed")?.unwrap_or(d.fault_seed),
+        fault_gate: given.rate("--fault-gate")?,
+        fuzz: given.count("--fuzz")?,
+        fuzz_seed: given.int("--fuzz-seed")?.unwrap_or(d.fuzz_seed),
+        dialect: given.choice("--dialect", &Dialect::NAMES, "dialect", |n| {
+            Dialect::by_name(n).is_some()
+        })?,
+        synth: given.count("--synth")?,
+        shards: given.count("--shards")?,
+        target: given.text("--target")?,
+        serve: given.text("--serve")?,
+        serve_store: given.text("--serve-store")?,
+        serve_inflight: given.int("--serve-inflight")?,
+        seed: given.int("--seed")?.unwrap_or(d.seed),
+        jobs: given.count("--jobs")?,
+        resume: given.has("--resume"),
+        store_stats: given.has("--store-stats"),
+    };
+
+    // Mode and parent rules run after every value is read, so a bad value
+    // is reported ahead of a conflict or a missing parent in any order.
+    let modes: Vec<&str> = MODES.iter().copied().filter(|m| given.has(m)).collect();
     if modes.len() > 1 {
         return Err(format!(
             "conflicting flags: {} select different modes; pick one",
             modes.join(" and ")
         ));
     }
-
-    // Dependent flags need their parent mode.
-    let was_given = |flag: &str| seen.iter().any(|f| f == flag);
-    if opts.faults.is_none() {
-        for dep in ["--fault-seed", "--fault-gate"] {
-            if was_given(dep) {
-                return Err(format!("{dep} requires --faults"));
-            }
-        }
-    }
-    if was_given("--fuzz-seed") && opts.fuzz.is_none() {
-        return Err("--fuzz-seed requires --fuzz".to_string());
-    }
-    if was_given("--dialect") && opts.fuzz.is_none() {
-        return Err("--dialect requires --fuzz".to_string());
-    }
-    if opts.serve.is_none() {
-        for dep in ["--serve-store", "--serve-inflight"] {
-            if was_given(dep) {
-                return Err(format!("{dep} requires --serve"));
-            }
-        }
-    }
-    if opts.synth.is_none() {
-        for dep in ["--shards", "--target"] {
-            if was_given(dep) {
-                return Err(format!("{dep} requires --synth"));
+    for Flag(name, _, parent) in FLAGS {
+        if let Some(parent) = parent {
+            if given.has(name) && !given.has(parent) {
+                return Err(format!("{name} requires {parent}"));
             }
         }
     }
 
     Ok(opts)
+}
+
+/// The flags of one command line, each with the value it took (`None`
+/// for a switch, or for a valued flag whose value is missing).
+struct Given<'a>(Vec<(&'static Flag, Option<&'a str>)>);
+
+impl<'a> Given<'a> {
+    fn find(&self, name: &str) -> Option<(&'static Flag, Option<&'a str>)> {
+        self.0.iter().find(|(f, _)| f.0 == name).copied()
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.find(name).is_some()
+    }
+
+    /// The value of a given flag with the wording its errors use; a flag
+    /// given without its value is an error.
+    fn value(&self, name: &str) -> Result<Option<(&'a str, &'static str)>, String> {
+        let Some((Flag(_, wants, _), value)) = self.find(name) else {
+            return Ok(None);
+        };
+        let wants = wants.unwrap_or_default();
+        match value {
+            Some(v) => Ok(Some((v, wants))),
+            None => Err(format!("{name} needs {wants}")),
+        }
+    }
+
+    fn text(&self, name: &str) -> Result<Option<String>, String> {
+        Ok(self.value(name)?.map(|(v, _)| v.to_string()))
+    }
+
+    fn int<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)?
+            .map(|(v, wants)| {
+                v.parse()
+                    .map_err(|_| format!("{name} needs {wants}, got {v:?}"))
+            })
+            .transpose()
+    }
+
+    /// A positive integer; zero is rejected with "positive" made explicit
+    /// (`--fuzz needs a positive case count, got 0`).
+    fn count<T: FromStr + Default + PartialEq>(&self, name: &str) -> Result<Option<T>, String> {
+        let n = self.int(name)?;
+        if n != Some(T::default()) {
+            return Ok(n);
+        }
+        let (_, wants) = self.value(name)?.unwrap_or_default();
+        let positive = if wants.contains("positive") {
+            wants.to_string()
+        } else {
+            wants.replacen("a ", "a positive ", 1)
+        };
+        Err(format!("{name} needs {positive}, got 0"))
+    }
+
+    fn rate(&self, name: &str) -> Result<Option<f64>, String> {
+        self.value(name)?
+            .map(|(v, wants)| {
+                v.parse()
+                    .ok()
+                    .filter(|r| (0.0..=1.0).contains(r))
+                    .ok_or_else(|| format!("{name} needs {wants}, got {v:?}"))
+            })
+            .transpose()
+    }
+
+    /// One of a fixed set of names, which `known` recognizes; both errors
+    /// list `names`.
+    fn choice(
+        &self,
+        name: &str,
+        names: &[&str],
+        what: &str,
+        known: fn(&str) -> bool,
+    ) -> Result<Option<String>, String> {
+        let list = names.join(", ");
+        match self.value(name) {
+            Err(missing) => Err(format!("{missing} (one of {list})")),
+            Ok(Some((v, _))) if !known(v) => Err(format!("unknown {what} {v:?} (one of {list})")),
+            Ok(v) => Ok(v.map(|(v, _)| v.to_string())),
+        }
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -602,30 +545,10 @@ fn main() {
         }
         println!("fuzz report written to {}", path.display());
 
-        // surface the run's deterministic engine counters in timings.json
-        let e = &report.engine;
-        squ::timing::count("fuzz.engine.rows_scanned", e.rows_scanned);
-        squ::timing::count("fuzz.engine.join_pairs", e.join_pairs);
-        squ::timing::count("fuzz.engine.batches", e.batches);
-        squ::timing::count("fuzz.engine.index_probes", e.index_probes);
-        squ::timing::count("fuzz.engine.index_hits", e.index_hits);
-        squ::timing::count("fuzz.engine.subquery_evals", e.subquery_evals);
-        squ::timing::count("fuzz.engine.compiled", e.compiled);
-        squ::timing::count("fuzz.engine.fallbacks", e.fallbacks);
-        squ::timing::count("fuzz.engine.empty_prunes", e.empty_prunes);
-
-        // ... and the semantic-analysis oracle's counters
-        let s = &report.sema;
-        squ::timing::count("fuzz.sema.queries_analyzed", s.queries_analyzed);
-        squ::timing::count("fuzz.sema.empties_proven", s.empties_proven);
-        squ::timing::count("fuzz.sema.empty_checks", s.empty_checks);
-        squ::timing::count("fuzz.sema.redundancy_checks", s.redundancy_checks);
-        squ::timing::count("fuzz.sema.bound_checks", s.bound_checks);
-        squ::timing::count("fuzz.sema.certified_equivalent", s.certified_equivalent);
-        squ::timing::count("fuzz.sema.certified_inequivalent", s.certified_inequivalent);
-        squ::timing::count("fuzz.sema.certified_unknown", s.certified_unknown);
-        squ::timing::count("fuzz.sema.soundness_pass", s.soundness_pass);
-        squ::timing::count("fuzz.sema.soundness_fail", s.soundness_fail);
+        // surface the run's deterministic engine and sema-oracle counters
+        // in timings.json
+        squ::timing::count_fields("fuzz.engine", &report.engine);
+        squ::timing::count_fields("fuzz.sema", &report.sema);
 
         finish_store(&opts, store.as_ref());
         finish_timings(&opts, &out_dir, jobs_n, run_start);
@@ -679,18 +602,7 @@ fn main() {
             c.noneq_pairs,
             c.conviction_rate(),
         );
-        squ::timing::count("audit.sema.pairs", c.pairs as u64);
-        squ::timing::count(
-            "audit.sema.certified_equivalent",
-            c.certified_equivalent as u64,
-        );
-        squ::timing::count(
-            "audit.sema.certified_inequivalent",
-            c.certified_inequivalent as u64,
-        );
-        squ::timing::count("audit.sema.certified_unknown", c.certified_unknown as u64);
-        squ::timing::count("audit.sema.noneq_pairs", c.noneq_pairs as u64);
-        squ::timing::count("audit.sema.noneq_convicted", c.noneq_convicted as u64);
+        squ::timing::count_fields("audit.sema", c);
         for v in &report.violations {
             println!(
                 "  {} {} {}: {}",

@@ -16,8 +16,9 @@
 //! ```
 //!
 //! Exchanges time out after 60 s; any transport failure exits 1 with the
-//! error on stderr. `load` is the soak driver used by `xtask serve-smoke`:
-//! its request schedule is a pure function of `(N, PROFILE, SEED)`.
+//! error on stderr. `load` is the soak driver of the live-server check in
+//! `xtask smoke`: its request schedule is a pure function of
+//! `(N, PROFILE, SEED)`.
 
 use squ_llm::FaultProfile;
 use squ_serve::{once, WireFaultClient, WireOutcome, WireReport};

@@ -16,12 +16,15 @@
 //!   operating points modeled as error-rate reductions, re-run through the
 //!   full pipeline.
 
-use crate::pipeline::{dataset_id, run_syntax, run_syntax_client};
 use crate::render::{f2, TextTable};
 use crate::suite::Suite;
 use crate::Artifact;
 use squ_eval::{BinaryCounts, Cell, PropertySlice, SubtypeBreakdown};
-use squ_llm::{FaultKind, FaultProfile, ModelId, SimConfig, SimulatedModel, Transport};
+use squ_llm::{
+    run_task, run_task_direct, DatasetId, FaultKind, FaultProfile, ModelId, SimConfig,
+    SimulatedModel, Transport,
+};
+use squ_tasks::{EquivTask, ExplainTask, SyntaxTask, TokenTask};
 use squ_workload::Workload;
 
 /// Identifier of one ablation/extension experiment.
@@ -108,9 +111,10 @@ pub fn ablation_tilt(suite: &Suite) -> Artifact {
             ),
         ] {
             let model = SimulatedModel::with_config(m, cfg);
-            let outcomes = run_syntax(
+            let outcomes = run_task_direct(
+                &SyntaxTask,
                 &model,
-                dataset_id(Workload::Sdss),
+                DatasetId::from(Workload::Sdss),
                 suite.syntax_for(Workload::Sdss),
             );
             let slice = PropertySlice::build(
@@ -167,9 +171,10 @@ pub fn ablation_subtype(suite: &Suite) -> Artifact {
         let mut pairs = Vec::new();
         for m in ModelId::ALL {
             let model = SimulatedModel::with_config(m, cfg);
-            let outcomes = run_syntax(
+            let outcomes = run_task_direct(
+                &SyntaxTask,
                 &model,
-                dataset_id(Workload::Sdss),
+                DatasetId::from(Workload::Sdss),
                 suite.syntax_for(Workload::Sdss),
             );
             for o in outcomes {
@@ -282,9 +287,10 @@ pub fn ext_fewshot(suite: &Suite) -> Artifact {
             SimConfig::fine_tuned(),
         ] {
             let model = SimulatedModel::with_config(m, cfg);
-            let outcomes = run_syntax(
+            let outcomes = run_task_direct(
+                &SyntaxTask,
                 &model,
-                dataset_id(Workload::Sdss),
+                DatasetId::from(Workload::Sdss),
                 suite.syntax_for(Workload::Sdss),
             );
             let c = BinaryCounts::from_pairs(
@@ -374,10 +380,10 @@ pub fn ext_baselines(suite: &Suite) -> Artifact {
     let mut t = TextTable::new(&["Task", "Model", "P", "R", "F1"]);
     let sdss_syntax = suite.syntax_for(Workload::Sdss);
     let sdss_tokens = suite.tokens_for(Workload::Sdss);
-    let ds = dataset_id(Workload::Sdss);
+    let ds = DatasetId::from(Workload::Sdss);
 
     let mut syntax_row = |name: &str, model: &dyn squ_llm::LanguageModel| {
-        let outcomes = run_syntax(model, ds, sdss_syntax);
+        let outcomes = run_task_direct(&SyntaxTask, model, ds, sdss_syntax);
         let c =
             BinaryCounts::from_pairs(outcomes.iter().map(|o| (o.example.has_error, o.said_error)));
         t.row(&[
@@ -394,7 +400,7 @@ pub fn ext_baselines(suite: &Suite) -> Artifact {
     syntax_row("parser-oracle", &ParserOracle);
 
     let mut token_row = |name: &str, model: &dyn squ_llm::LanguageModel| {
-        let outcomes = crate::pipeline::run_token(model, ds, sdss_tokens);
+        let outcomes = run_task_direct(&TokenTask, model, ds, sdss_tokens);
         let c = BinaryCounts::from_pairs(
             outcomes
                 .iter()
@@ -435,7 +441,7 @@ pub fn ext_baselines(suite: &Suite) -> Artifact {
             f2(normalizer.recall()),
             f2(normalizer.f1()),
         ]);
-        let outcomes = crate::pipeline::run_equiv(&SimulatedModel::new(ModelId::Gpt4), ds, pairs);
+        let outcomes = run_task_direct(&EquivTask, &SimulatedModel::new(ModelId::Gpt4), ds, pairs);
         let c = BinaryCounts::from_pairs(
             outcomes
                 .iter()
@@ -464,7 +470,6 @@ pub fn ext_baselines(suite: &Suite) -> Artifact {
 /// Quantitative companion to the paper's qualitative §4.5: mean rubric
 /// score and per-fact-group miss rates over the full 200-query Spider set.
 pub fn ext_rubric(suite: &Suite) -> Artifact {
-    use crate::pipeline::run_explain;
     let mut t = TextTable::new(&[
         "Model",
         "mean score",
@@ -474,7 +479,12 @@ pub fn ext_rubric(suite: &Suite) -> Artifact {
         "wrong ordering %",
     ]);
     for m in ModelId::ALL {
-        let outcomes = run_explain(&SimulatedModel::new(m), suite.explain());
+        let outcomes = run_task_direct(
+            &ExplainTask,
+            &SimulatedModel::new(m),
+            DatasetId::Spider,
+            suite.explain(),
+        );
         let n = outcomes.len() as f64;
         let mean = outcomes.iter().map(|o| o.rubric.score).sum::<f64>() / n;
         let complete = outcomes.iter().filter(|o| o.rubric.is_complete()).count() as f64 / n;
@@ -582,7 +592,12 @@ pub fn ext_faults(suite: &Suite) -> Artifact {
                 None => continue,
             };
             let client = Transport::new(SimulatedModel::new(m), profile, 7);
-            let outcomes = run_syntax_client(&client, dataset_id(Workload::Sdss), examples);
+            let outcomes = run_task(
+                &SyntaxTask,
+                &client,
+                DatasetId::from(Workload::Sdss),
+                examples,
+            );
             let n = outcomes.len() as f64;
             let attempts: usize = outcomes.iter().map(|o| o.call.attempts as usize).sum();
             let exhausted = outcomes.iter().filter(|o| o.call.exhausted).count();
@@ -603,7 +618,12 @@ pub fn ext_faults(suite: &Suite) -> Artifact {
     }
     let survived_kinds = {
         let client = Transport::new(SimulatedModel::new(ModelId::Gpt4), FaultProfile::heavy(), 7);
-        let outcomes = run_syntax_client(&client, dataset_id(Workload::Sdss), examples);
+        let outcomes = run_task(
+            &SyntaxTask,
+            &client,
+            DatasetId::from(Workload::Sdss),
+            examples,
+        );
         FaultKind::ALL
             .iter()
             .map(|k| {

@@ -4,12 +4,11 @@
 //! (tables / bar charts), and CSV data, ready for the repro harness to
 //! print and persist.
 
-use crate::pipeline::*;
 use crate::render::{bar_chart, f2, TextTable};
 use crate::suite::Suite;
 use squ_eval::{BinaryCounts, Confusion, LocationStats, PropertySlice, SubtypeBreakdown};
-use squ_llm::{LanguageModel, ModelId, SimulatedModel};
-use squ_tasks::COST_THRESHOLD_MS;
+use squ_llm::{run_task_direct, DatasetId, LanguageModel, ModelId, SimulatedModel};
+use squ_tasks::{EquivTask, PerfTask, SyntaxTask, TokenTask, COST_THRESHOLD_MS};
 use squ_workload::analysis::{correlation_matrix, dataset_histograms};
 use squ_workload::Workload;
 
@@ -347,7 +346,12 @@ fn table3(suite: &Suite) -> Artifact {
         for m in ModelId::ALL {
             let mut cells = vec![case.to_string(), m.name().to_string()];
             for w in task_workloads() {
-                let outcomes = run_syntax(&model(m), dataset_id(w), suite.syntax_for(w));
+                let outcomes = run_task_direct(
+                    &SyntaxTask,
+                    &model(m),
+                    DatasetId::from(w),
+                    suite.syntax_for(w),
+                );
                 let (p, r, f1) = if case == "Syntax Error" {
                     let c = BinaryCounts::from_pairs(
                         outcomes.iter().map(|o| (o.example.has_error, o.said_error)),
@@ -401,7 +405,12 @@ fn slice_block(title: &str, slice: &PropertySlice) -> String {
 }
 
 fn syntax_slice(suite: &Suite, m: ModelId, w: Workload, prop: &str) -> PropertySlice {
-    let outcomes = run_syntax(&model(m), dataset_id(w), suite.syntax_for(w));
+    let outcomes = run_task_direct(
+        &SyntaxTask,
+        &model(m),
+        DatasetId::from(w),
+        suite.syntax_for(w),
+    );
     PropertySlice::build(
         prop,
         outcomes.iter().map(|o| {
@@ -440,7 +449,12 @@ fn fig7(suite: &Suite) -> Artifact {
     for w in task_workloads() {
         body.push_str(&format!("== {} ==\n", w.name()));
         for m in ModelId::ALL {
-            let outcomes = run_syntax(&model(m), dataset_id(w), suite.syntax_for(w));
+            let outcomes = run_task_direct(
+                &SyntaxTask,
+                &model(m),
+                DatasetId::from(w),
+                suite.syntax_for(w),
+            );
             let b = SubtypeBreakdown::build(
                 outcomes
                     .iter()
@@ -494,7 +508,12 @@ fn table4(suite: &Suite) -> Artifact {
         for m in ModelId::ALL {
             let mut cells = vec![case.to_string(), m.name().to_string()];
             for w in task_workloads() {
-                let outcomes = run_token(&model(m), dataset_id(w), suite.tokens_for(w));
+                let outcomes = run_task_direct(
+                    &TokenTask,
+                    &model(m),
+                    DatasetId::from(w),
+                    suite.tokens_for(w),
+                );
                 let (p, r, f1) = if case == "Missing Token" {
                     let c = BinaryCounts::from_pairs(
                         outcomes
@@ -531,9 +550,10 @@ fn table4(suite: &Suite) -> Artifact {
 // ---------------- Figure 8: miss_token failures (GPT3.5, SQLShare) ----------------
 
 fn fig8(suite: &Suite) -> Artifact {
-    let outcomes = run_token(
+    let outcomes = run_task_direct(
+        &TokenTask,
         &model(ModelId::Gpt35),
-        dataset_id(Workload::SqlShare),
+        DatasetId::from(Workload::SqlShare),
         suite.tokens_for(Workload::SqlShare),
     );
     let mut body = String::new();
@@ -567,7 +587,12 @@ fn fig9(suite: &Suite) -> Artifact {
     for w in task_workloads() {
         body.push_str(&format!("== {} ==\n", w.name()));
         for m in ModelId::ALL {
-            let outcomes = run_token(&model(m), dataset_id(w), suite.tokens_for(w));
+            let outcomes = run_task_direct(
+                &TokenTask,
+                &model(m),
+                DatasetId::from(w),
+                suite.tokens_for(w),
+            );
             let b = SubtypeBreakdown::build(
                 outcomes
                     .iter()
@@ -616,7 +641,12 @@ fn table5(suite: &Suite) -> Artifact {
     for m in ModelId::ALL {
         let mut cells = vec![m.name().to_string()];
         for w in task_workloads() {
-            let outcomes = run_token(&model(m), dataset_id(w), suite.tokens_for(w));
+            let outcomes = run_task_direct(
+                &TokenTask,
+                &model(m),
+                DatasetId::from(w),
+                suite.tokens_for(w),
+            );
             let stats = LocationStats::from_pairs(outcomes.iter().filter_map(|o| {
                 match (o.example.position, o.said_position) {
                     (Some(t), Some(p)) => Some((t, p)),
@@ -641,7 +671,7 @@ fn table5(suite: &Suite) -> Artifact {
 fn table6(suite: &Suite) -> Artifact {
     let mut t = TextTable::new(&["Model", "Prec.", "Rec.", "F1"]);
     for m in ModelId::ALL {
-        let outcomes = run_perf(&model(m), suite.perf());
+        let outcomes = run_task_direct(&PerfTask, &model(m), DatasetId::Sdss, suite.perf());
         let c = BinaryCounts::from_pairs(
             outcomes
                 .iter()
@@ -665,7 +695,12 @@ fn table6(suite: &Suite) -> Artifact {
 // ---------------- Figure 10: perf failures (MistralAI) ----------------
 
 fn fig10(suite: &Suite) -> Artifact {
-    let outcomes = run_perf(&model(ModelId::MistralAi), suite.perf());
+    let outcomes = run_task_direct(
+        &PerfTask,
+        &model(ModelId::MistralAi),
+        DatasetId::Sdss,
+        suite.perf(),
+    );
     let mut body = String::new();
     for prop in ["word_count", "column_count"] {
         let slice = PropertySlice::build(
@@ -709,7 +744,12 @@ fn table7(suite: &Suite) -> Artifact {
         for m in ModelId::ALL {
             let mut cells = vec![case.to_string(), m.name().to_string()];
             for w in task_workloads() {
-                let outcomes = run_equiv(&model(m), dataset_id(w), suite.equiv_for(w));
+                let outcomes = run_task_direct(
+                    &EquivTask,
+                    &model(m),
+                    DatasetId::from(w),
+                    suite.equiv_for(w),
+                );
                 let (p, r, f1) = if case == "Equivalence" {
                     let c = BinaryCounts::from_pairs(
                         outcomes
@@ -746,7 +786,12 @@ fn table7(suite: &Suite) -> Artifact {
 // ---------------- Figures 11/12: equiv failures ----------------
 
 fn equiv_slice(suite: &Suite, m: ModelId, w: Workload, prop: &str) -> PropertySlice {
-    let outcomes = run_equiv(&model(m), dataset_id(w), suite.equiv_for(w));
+    let outcomes = run_task_direct(
+        &EquivTask,
+        &model(m),
+        DatasetId::from(w),
+        suite.equiv_for(w),
+    );
     PropertySlice::build(
         prop,
         outcomes.iter().map(|o| {

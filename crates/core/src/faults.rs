@@ -22,11 +22,10 @@
 //! pipeline's behavior exactly — `tests/faults.rs` pins that, and CI gates
 //! on the committed `none`-profile baseline.
 
-use crate::pipeline::dataset_id;
 use crate::registry::{registry, DynTask};
 use crate::suite::Suite;
 use serde::{Deserialize, Serialize};
-use squ_llm::{CallRecord, FaultKind, FaultProfile, ModelId, SimulatedModel, Transport};
+use squ_llm::{CallRecord, DatasetId, FaultKind, FaultProfile, ModelId, SimulatedModel, Transport};
 use squ_workload::Workload;
 
 /// Survival statistics for one fault kind.
@@ -118,7 +117,7 @@ impl FaultJob {
     /// lowercase slug (`performance_pred` has always reported `sdss`).
     fn dataset_label(&self) -> String {
         if self.task.id().workloads().len() > 1 {
-            dataset_id(self.workload).name().to_string()
+            DatasetId::from(self.workload).name().to_string()
         } else {
             self.workload.name().to_lowercase()
         }
@@ -166,7 +165,7 @@ pub fn run_fault_report(
             .set(job.task.id(), job.workload)
             .map(|set| {
                 job.task
-                    .call_facts(&client, dataset_id(job.workload), set.examples())
+                    .call_facts(&client, DatasetId::from(job.workload), set.examples())
             })
             .unwrap_or_default();
         (job, facts)

@@ -18,8 +18,9 @@
 //! Quick orientation:
 //!
 //! * [`Suite`] — builds all datasets from one master seed;
-//! * [`pipeline`] — runs any [`squ_llm::LanguageModel`] over a task
+//! * [`llm::run_task`] — runs any [`llm::ModelClient`] over a task
 //!   dataset and extracts predictions from its verbose responses;
+//!   [`registry()`] drives it for every task family;
 //! * [`run_experiment`] / [`run_all`] — regenerate the paper's artifacts;
 //! * [`render`] — plain-text table / bar-chart / CSV rendering.
 
@@ -32,7 +33,6 @@ pub mod export;
 pub mod faults;
 pub mod fuzz;
 pub mod par;
-pub mod pipeline;
 #[cfg(test)]
 mod pipeline_tests;
 pub mod registry;

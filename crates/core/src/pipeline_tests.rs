@@ -2,9 +2,8 @@
 //! extraction and outcome mapping is exercised without any simulator in
 //! the loop.
 
-use crate::pipeline::*;
-use squ_llm::{DatasetId, LanguageModel, Request};
-use squ_tasks::{SyntaxErrorType, SyntaxExample, TokenExample, TokenType};
+use squ_llm::{run_task_direct, DatasetId, LanguageModel, ModelId, Request, SimulatedModel};
+use squ_tasks::{SyntaxErrorType, SyntaxExample, SyntaxTask, TokenExample, TokenTask, TokenType};
 use squ_workload::QueryProps;
 
 /// A model that replays a fixed response for every request.
@@ -63,7 +62,7 @@ fn token_example() -> TokenExample {
 #[test]
 fn syntax_outcome_maps_affirmative_response() {
     let m = Scripted("Yes, the query contains a syntax error (error type: aggr-attr).");
-    let out = run_syntax(&m, DatasetId::Sdss, &[syntax_example(true)]);
+    let out = run_task_direct(&SyntaxTask, &m, DatasetId::Sdss, &[syntax_example(true)]);
     assert!(out[0].said_error);
     assert_eq!(out[0].said_type.as_deref(), Some("aggr-attr"));
     assert!(!out[0].needs_review);
@@ -72,7 +71,7 @@ fn syntax_outcome_maps_affirmative_response() {
 #[test]
 fn syntax_outcome_maps_negative_response() {
     let m = Scripted("No, the query does not contain any syntax errors.");
-    let out = run_syntax(&m, DatasetId::Sdss, &[syntax_example(false)]);
+    let out = run_task_direct(&SyntaxTask, &m, DatasetId::Sdss, &[syntax_example(false)]);
     assert!(!out[0].said_error);
     assert!(out[0].said_type.is_none());
 }
@@ -80,7 +79,7 @@ fn syntax_outcome_maps_negative_response() {
 #[test]
 fn unparseable_response_flags_review_and_defaults_negative() {
     let m = Scripted("I am a language model and cannot evaluate SQL.");
-    let out = run_syntax(&m, DatasetId::Sdss, &[syntax_example(true)]);
+    let out = run_task_direct(&SyntaxTask, &m, DatasetId::Sdss, &[syntax_example(true)]);
     assert!(!out[0].said_error, "review default is the negative answer");
     assert!(out[0].needs_review);
 }
@@ -90,7 +89,7 @@ fn token_outcome_extracts_type_word_and_position() {
     let m = Scripted(
         "Yes — the query is incomplete. Missing token type: keyword. Missing word: FROM. Position: 2.",
     );
-    let out = run_token(&m, DatasetId::Sdss, &[token_example()]);
+    let out = run_task_direct(&TokenTask, &m, DatasetId::Sdss, &[token_example()]);
     assert!(out[0].said_missing);
     assert_eq!(out[0].said_type.as_deref(), Some("keyword"));
     assert_eq!(out[0].said_position, Some(2));
@@ -100,7 +99,7 @@ fn token_outcome_extracts_type_word_and_position() {
 #[test]
 fn negative_token_response_has_no_fields() {
     let m = Scripted("No, nothing seems to be missing from this query.");
-    let out = run_token(&m, DatasetId::Sdss, &[token_example()]);
+    let out = run_task_direct(&TokenTask, &m, DatasetId::Sdss, &[token_example()]);
     assert!(!out[0].said_missing);
     assert!(out[0].said_type.is_none());
     assert!(out[0].said_position.is_none());
@@ -110,17 +109,19 @@ fn negative_token_response_has_no_fields() {
 #[test]
 fn dataset_id_mapping_is_total() {
     use squ_workload::Workload;
-    assert_eq!(dataset_id(Workload::Sdss), DatasetId::Sdss);
-    assert_eq!(dataset_id(Workload::SqlShare), DatasetId::SqlShare);
-    assert_eq!(dataset_id(Workload::JoinOrder), DatasetId::JoinOrder);
-    assert_eq!(dataset_id(Workload::Spider), DatasetId::Spider);
+    assert_eq!(DatasetId::from(Workload::Sdss), DatasetId::Sdss);
+    assert_eq!(DatasetId::from(Workload::SqlShare), DatasetId::SqlShare);
+    assert_eq!(DatasetId::from(Workload::JoinOrder), DatasetId::JoinOrder);
+    assert_eq!(DatasetId::from(Workload::Spider), DatasetId::Spider);
 }
 
 #[test]
 fn all_models_registry_covers_the_paper() {
-    let models = all_models();
-    assert_eq!(models.len(), 5);
-    let names: Vec<&str> = models.iter().map(|(_, m)| m.name()).collect();
+    assert_eq!(ModelId::ALL.len(), 5);
+    let names: Vec<&str> = ModelId::ALL
+        .into_iter()
+        .map(|id| SimulatedModel::new(id).name())
+        .collect();
     for expected in ["GPT4", "GPT3.5", "Llama3", "MistralAI", "Gemini"] {
         assert!(names.contains(&expected), "missing {expected}");
     }

@@ -87,7 +87,8 @@ pub struct SynthConfig {
     pub seed: u64,
     /// Requested number of accepted queries.
     pub n: u64,
-    /// Shard count (each round's range splits into this many partitions).
+    /// Shard count (each round's range splits into this many partitions),
+    /// from 1 to [`ROUND_MAX`].
     pub shards: usize,
     /// Worker threads building shards.
     pub jobs: usize,
@@ -357,6 +358,14 @@ pub fn run_synth(cfg: &SynthConfig, mut store: Option<&mut Store>) -> Result<Syn
     if cfg.shards == 0 {
         return Err("synth: shard count must be at least 1".into());
     }
+    // a round never holds more than ROUND_MAX candidates, so more shards
+    // would only add empty ones, each costing memory and a scheduled task
+    if cfg.shards as u64 > ROUND_MAX {
+        return Err(format!(
+            "synth: shard count must be at most {ROUND_MAX} (the round budget), got {}",
+            cfg.shards
+        ));
+    }
     let spec_fp = fp_synth_spec(
         cfg.seed,
         cfg.n,
@@ -619,6 +628,8 @@ mod tests {
         assert!(run_synth(&c, None).unwrap_err().contains("size"));
         c.n = 10;
         c.shards = 0;
+        assert!(run_synth(&c, None).unwrap_err().contains("shard"));
+        c.shards = ROUND_MAX as usize + 1;
         assert!(run_synth(&c, None).unwrap_err().contains("shard"));
         c.shards = 1;
         c.target_json = Some("not json".into());

@@ -6,13 +6,14 @@
 //! [`TimingSession::drain`] the spans into a human-readable report
 //! ([`report`]) and machine-readable JSON ([`to_json`]).
 //!
-//! The module-level [`record`] / [`time`] / [`count`] / [`drain`]
-//! functions delegate to one process-global **default session** — the
-//! CLI path, where exactly one run owns the process and drains once at
-//! exit. Concurrent owners (the evaluation server, tests running in
-//! parallel) must *not* share that default: `drain` is destructive, so
-//! one request's drain would steal another's spans. Each owner holds its
-//! own `TimingSession` instead and drains only what it recorded.
+//! The module-level [`record`] / [`time`] / [`count`] /
+//! [`count_fields`] / [`drain`] functions delegate to one process-global
+//! **default session** — the CLI path, where exactly one run owns the
+//! process and drains once at exit. Concurrent owners (the evaluation
+//! server, tests running in parallel) must *not* share that default:
+//! `drain` is destructive, so one request's drain would steal another's
+//! spans. Each owner holds its own `TimingSession` instead and drains
+//! only what it recorded.
 //!
 //! Span names are dotted paths (`suite.task.equiv.sdss`) so reports group
 //! naturally when sorted.
@@ -90,6 +91,19 @@ impl TimingSession {
         }
     }
 
+    /// Add each unsigned-integer field of `stats`, a struct that
+    /// serializes to a JSON object, as the counter `{prefix}.{field}`.
+    /// Other fields are skipped.
+    pub fn count_fields(&self, prefix: &str, stats: &impl Serialize) {
+        if let Ok(serde_json::Value::Object(fields)) = serde_json::to_value(stats) {
+            for (field, value) in fields {
+                if let serde_json::Value::U64(v) = value {
+                    self.count(&format!("{prefix}.{field}"), v);
+                }
+            }
+        }
+    }
+
     /// Take all recorded counters, sorted by name.
     pub fn drain_counters(&self) -> Vec<Counter> {
         let counters = std::mem::take(&mut *self.counters.lock().expect("timing counter lock")); // lint:allow: poisoned only if a worker already panicked
@@ -129,6 +143,12 @@ pub fn time<T>(name: &str, f: impl FnOnce() -> T) -> T {
 /// Add `value` to the counter named `name` (default session).
 pub fn count(name: &str, value: u64) {
     default_session().count(name, value);
+}
+
+/// Add each unsigned-integer field of `stats` as the counter
+/// `{prefix}.{field}` (default session).
+pub fn count_fields(prefix: &str, stats: &impl Serialize) {
+    default_session().count_fields(prefix, stats);
 }
 
 /// Take the default session's counters, sorted by name.
@@ -253,6 +273,37 @@ mod tests {
         // a drained session is empty, not poisoned
         assert!(a.drain().is_empty());
         assert!(a.drain_counters().is_empty());
+    }
+
+    #[test]
+    fn count_fields_adds_each_unsigned_field() {
+        #[derive(Serialize)]
+        struct Stats {
+            rows: u64,
+            pairs: usize,
+            rate: f64,
+            delta: i64,
+            label: String,
+        }
+        let session = TimingSession::new();
+        let stats = |rows| Stats {
+            rows,
+            pairs: 4,
+            rate: 0.5,
+            delta: 2,
+            label: "x".into(),
+        };
+        session.count_fields("t", &stats(3));
+        session.count_fields("t", &stats(0));
+        let counters: Vec<(String, u64)> = session
+            .drain_counters()
+            .into_iter()
+            .map(|c| (c.name, c.value))
+            .collect();
+        assert_eq!(
+            counters,
+            vec![("t.pairs".to_string(), 8), ("t.rows".to_string(), 3)]
+        );
     }
 
     #[test]

@@ -240,10 +240,6 @@ fn resolve_dialect(name: Option<&str>) -> Result<&'static str, Reject> {
     })
 }
 
-fn dataset_id(w: Workload) -> DatasetId {
-    squ::pipeline::dataset_id(w)
-}
-
 /// Lowercased, dash-free slug (mirrors the suite's store naming so the
 /// server shares `dataset`-stage entries with the CLI).
 fn slug(name: &str) -> String {
@@ -463,7 +459,7 @@ impl EvalService {
         let set = self.set_for(key);
         let profile = FaultProfile::by_name(key.profile).unwrap_or_else(FaultProfile::none);
         let client = Transport::new(SimulatedModel::new(key.model), profile, key.fault_seed);
-        let facts = t.call_facts(&client, dataset_id(key.workload), &set);
+        let facts = t.call_facts(&client, DatasetId::from(key.workload), &set);
 
         let examples = facts.len();
         let needs_review = facts.iter().filter(|(review, _)| *review).count();

@@ -3,46 +3,17 @@
 //! `lint` — forbid `.unwrap()`, `.expect(` and `panic!` in library code,
 //! and per-task `match` dispatch in the core crate.
 //!
-//! `fuzz-smoke` — run the `squ-fuzz` oracles on a small fixed-seed budget
-//! (the CI smoke configuration): builds the `repro` binary in release mode
-//! and exits non-zero on any oracle violation, including any compiled
-//! engine result — subject query or transform output — that disagrees
-//! with the reference interpreter.
-//!
-//! `sema-smoke` — exercise the `squ-sema` semantic analyzer end to end:
-//! `repro --audit` (the static equivalence certifier must convict its
-//! non-equivalence floor with zero label contradictions) followed by a
-//! seeded fuzz run whose sema oracle cross-checks every analyzer claim
-//! against execution. Both reports land in `target/repro/` for CI's
-//! artifact upload; any violation exits non-zero.
-//!
-//! `serve-smoke` — boot the `squ-serve` evaluation server on an ephemeral
-//! port over a scratch store and drive it with `servectl`: a cold/warm
-//! /eval pair (the warm reply must be a store hit with a byte-identical
-//! body), the seeded 50-exchange mixed workload under the heavy
-//! wire-fault profile (any 5xx fails), a /statz snapshot written to
-//! `target/repro/serve-smoke/statz.json` (any recorded panic fails), a
-//! torn-store-entry scan, and a second zero-permit server that must
-//! answer a deterministic 429 while /healthz stays reachable.
-//!
-//! `dialect-smoke` — exercise the multi-dialect frontend end to end:
-//! `repro --audit` first (the dialect-translate task's gold translations
-//! are differentially verified row-for-row alongside every other
-//! family), then a seeded 150-case fuzz run per concrete dialect
-//! (sqlite / postgres / mysql / tsql) whose dialect oracle holds every
-//! emitted corpus entry to the dialect round-trip law. Each corpus is
-//! run twice (`--jobs 2` then `--jobs 1`) and the two reports must be
-//! byte-identical; per-dialect reports land in
-//! `target/repro/dialect-smoke/` for CI's artifact upload.
-//!
-//! `synth-smoke` — exercise the streaming synthesis subsystem end to
-//! end: a 5 000-query synthesis on 3 shards × 2 jobs whose report must
-//! be byte-identical to the 1-shard × 1-job build, an embedded
-//! sketch-vs-exact spot check that must pass, and a 4×-larger run whose
-//! recorded peak RSS must stay well under 4× the small run's (memory is
-//! bounded by the round budget, not by `N`). `synth.json` and the
-//! large-run `timings.json` land in `target/repro/synth-smoke/` for
-//! CI's artifact upload.
+//! `smoke` — the CI smoke runs: builds the `squ-bench` binaries once,
+//! then runs the table [`SMOKES`]. Each entry is a list of `repro` runs
+//! that must all exit 0; an entry may name one output under
+//! `target/repro/`, which must be byte-identical after each of its runs.
+//! The table covers the label audit, the fuzz oracles at `--jobs 1` and
+//! `--jobs 8`, each concrete dialect's corpus at `--jobs 2` and
+//! `--jobs 1`, and synthesis on 1 shard × 1 job and 3 shards × 2 jobs
+//! with its sketch check and peak-RSS guard. The serve driver runs last:
+//! a live server's cold/warm /eval byte equality, a fault-injected soak,
+//! a torn-entry scan and a zero-permit 429. Every kept output lands in
+//! `target/repro/smoke/` for CI's artifact upload.
 //!
 //! The benchmark's library crates must not abort on malformed input: the
 //! whole point of the analyzer stack is to turn bad SQL into diagnostics.
@@ -78,6 +49,7 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 /// Marker comment that waives a banned call on its line.
 const WAIVER: &str = "lint:allow";
@@ -197,86 +169,255 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        Some("fuzz-smoke") => {
-            let status = fuzz_smoke(&repo_root());
-            std::process::exit(status);
-        }
-        Some("sema-smoke") => {
-            let status = sema_smoke(&repo_root());
-            std::process::exit(status);
-        }
-        Some("serve-smoke") => {
-            let status = serve_smoke(&repo_root());
-            std::process::exit(status);
-        }
-        Some("dialect-smoke") => {
-            let status = dialect_smoke(&repo_root());
-            std::process::exit(status);
-        }
-        Some("synth-smoke") => {
-            let status = synth_smoke(&repo_root());
-            std::process::exit(status);
+        Some("smoke") => {
+            if let Err(msg) = smoke(&repo_root()) {
+                eprintln!("xtask smoke: {msg}");
+                std::process::exit(1);
+            }
         }
         Some(other) => {
-            eprintln!(
-                "unknown task {other:?} (available: lint, fuzz-smoke, sema-smoke, serve-smoke, \
-                 dialect-smoke, synth-smoke)"
-            );
+            eprintln!("unknown task {other:?} (available: lint, smoke)");
             std::process::exit(2);
         }
         None => {
-            eprintln!(
-                "usage: cargo run -p xtask -- \
-                 <lint|fuzz-smoke|sema-smoke|serve-smoke|dialect-smoke|synth-smoke>"
-            );
+            eprintln!("usage: cargo run -p xtask -- <lint|smoke>");
             std::process::exit(2);
         }
     }
 }
 
-/// Fixed-seed, fixed-budget fuzz run for CI: small enough to finish well
-/// inside a minute, deterministic so a red run is immediately
-/// reproducible with the same command line.
-const FUZZ_SMOKE_CASES: &str = "150";
-/// Seed for the smoke run (matches the documented acceptance seed).
-const FUZZ_SMOKE_SEED: &str = "7";
-
-/// Run `repro --fuzz` with the smoke budget; returns the exit code.
-fn fuzz_smoke(root: &Path) -> i32 {
-    run_repro_fuzz(root, "fuzz-smoke", FUZZ_SMOKE_CASES, &[])
+/// One entry of the smoke table: `repro` command lines (arguments split
+/// on whitespace), run in order, each of which must exit 0. An entry may
+/// name one output under `target/repro/`; every run must leave it,
+/// byte-identical to the first run's, and it is kept as
+/// `target/repro/smoke/<name>.json`. `then` runs after the entry's runs,
+/// for checks the table cannot express.
+struct Smoke {
+    name: &'static str,
+    runs: &'static [&'static str],
+    output: Option<&'static str>,
+    then: Option<Check>,
 }
 
-/// Fuzz-case budget for the sema smoke: every case runs the sema oracle
-/// (emptiness / redundancy / bound claims re-checked by execution,
-/// certificates checked against the metamorphic verdict).
-const SEMA_SMOKE_CASES: &str = "200";
+/// A check run after an entry's runs, given the runner and the directory
+/// that keeps reports.
+type Check = fn(&Runner, &Path) -> Result<(), String>;
 
-/// Exercise the semantic analyzer end to end: the audit's static
-/// certifier first (`repro --audit` exits non-zero on any label
-/// contradiction), then a seeded fuzz run with the sema oracle active.
-fn sema_smoke(root: &Path) -> i32 {
-    let status = std::process::Command::new(env!("CARGO"))
+/// The smoke table, at fixed seeds so a red run reproduces from its
+/// command line. The serve driver ([`serve_smoke`]) runs after it.
+const SMOKES: &[Smoke] = &[
+    // every ground-truth label re-proved, the static certifier convicting
+    // its non-equivalence floor, and the dialect-translate gold
+    // translations verified row for row
+    Smoke {
+        name: "audit",
+        runs: &["--audit"],
+        output: Some("audit.json"),
+        then: None,
+    },
+    // the round-trip, differential, metamorphic and sema oracles; a
+    // transform output the reference interpreter disagrees with fails
+    Smoke {
+        name: "fuzz",
+        runs: &[
+            "--fuzz 200 --fuzz-seed 7 --jobs 1 --timings",
+            "--fuzz 200 --fuzz-seed 7 --jobs 8",
+        ],
+        output: Some("fuzz.json"),
+        then: None,
+    },
+    // each concrete dialect's corpus held to the dialect round-trip law
+    Smoke {
+        name: "fuzz-sqlite",
+        runs: &[
+            "--fuzz 150 --fuzz-seed 7 --dialect sqlite --jobs 2",
+            "--fuzz 150 --fuzz-seed 7 --dialect sqlite --jobs 1",
+        ],
+        output: Some("fuzz.json"),
+        then: None,
+    },
+    Smoke {
+        name: "fuzz-postgres",
+        runs: &[
+            "--fuzz 150 --fuzz-seed 7 --dialect postgres --jobs 2",
+            "--fuzz 150 --fuzz-seed 7 --dialect postgres --jobs 1",
+        ],
+        output: Some("fuzz.json"),
+        then: None,
+    },
+    Smoke {
+        name: "fuzz-mysql",
+        runs: &[
+            "--fuzz 150 --fuzz-seed 7 --dialect mysql --jobs 2",
+            "--fuzz 150 --fuzz-seed 7 --dialect mysql --jobs 1",
+        ],
+        output: Some("fuzz.json"),
+        then: None,
+    },
+    Smoke {
+        name: "fuzz-tsql",
+        runs: &[
+            "--fuzz 150 --fuzz-seed 7 --dialect tsql --jobs 2",
+            "--fuzz 150 --fuzz-seed 7 --dialect tsql --jobs 1",
+        ],
+        output: Some("fuzz.json"),
+        then: None,
+    },
+    // sharding and parallelism change no byte of the synthesis report; the
+    // sharded run goes last so its peak RSS is the guard's baseline
+    Smoke {
+        name: "synth",
+        runs: &[
+            "--synth 5000 --shards 1 --jobs 1 --timings",
+            "--synth 5000 --shards 3 --jobs 2 --timings",
+        ],
+        output: Some("synth.json"),
+        then: Some(synth_guards),
+    },
+];
+
+/// Build the `squ-bench` binaries once, run every entry of [`SMOKES`]
+/// against `target/release/repro`, then the serve driver.
+fn smoke(root: &Path) -> Result<(), String> {
+    let build = Command::new(env!("CARGO"))
         .current_dir(root)
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "squ-bench",
-            "--bin",
-            "repro",
-            "--",
-            "--audit",
-        ])
-        .status();
-    match status {
-        Ok(s) if s.success() => {}
-        Ok(s) => return s.code().unwrap_or(1), // lint:allow: cli tool
-        Err(e) => {
-            eprintln!("sema-smoke: failed to launch cargo: {e}");
-            return 1;
+        .args(["build", "--release", "-p", "squ-bench", "--bins"])
+        .status()
+        .map_err(|e| format!("cannot launch cargo: {e}"))?;
+    if !build.success() {
+        return Err(format!("building the squ-bench binaries failed ({build})"));
+    }
+    let keep = root.join("target").join("repro").join("smoke");
+    let _ = std::fs::remove_dir_all(&keep);
+    std::fs::create_dir_all(&keep).map_err(|e| format!("creating {}: {e}", keep.display()))?;
+    let runner = Runner {
+        program: root.join("target").join("release").join("repro"),
+        root: root.to_path_buf(),
+    };
+    for entry in SMOKES {
+        runner
+            .entry(entry, &keep)
+            .map_err(|e| format!("{}: {e}", entry.name))?;
+        println!("smoke: {} ok ({} run(s))", entry.name, entry.runs.len());
+    }
+    serve_smoke(root, &keep).map_err(|e| format!("serve: {e}"))?;
+    println!("smoke: ok (reports in {})", keep.display());
+    Ok(())
+}
+
+/// Runs the smoke table: `program` (`repro`, or a stand-in in tests) in
+/// `root`, whose `target/repro/` holds the outputs.
+struct Runner {
+    program: PathBuf,
+    root: PathBuf,
+}
+
+impl Runner {
+    /// An output file under `target/repro/`.
+    fn out(&self, file: &str) -> PathBuf {
+        self.root.join("target").join("repro").join(file)
+    }
+
+    /// Run the program once on a command line; any exit other than 0 is an
+    /// error.
+    fn run(&self, line: &str) -> Result<(), String> {
+        let status = Command::new(&self.program)
+            .current_dir(&self.root)
+            .args(line.split_whitespace())
+            .status()
+            .map_err(|e| format!("cannot spawn {}: {e}", self.program.display()))?;
+        if status.success() {
+            Ok(())
+        } else {
+            Err(format!("`repro {line}` failed ({status})"))
         }
     }
-    run_repro_fuzz(root, "sema-smoke", SEMA_SMOKE_CASES, &["--timings"])
+
+    /// Run one table entry and keep its output in `keep`. The output is
+    /// removed before each run, so a run that writes none cannot pass on
+    /// a stale file.
+    fn entry(&self, entry: &Smoke, keep: &Path) -> Result<(), String> {
+        let mut first: Option<Vec<u8>> = None;
+        for line in entry.runs {
+            let output = entry.output.map(|file| self.out(file));
+            if let Some(path) = &output {
+                let _ = std::fs::remove_file(path);
+            }
+            self.run(line)?;
+            let Some(path) = output else { continue };
+            let bytes = std::fs::read(&path)
+                .map_err(|e| format!("`repro {line}` left no {}: {e}", path.display()))?;
+            match &first {
+                None => first = Some(bytes),
+                Some(earlier) if *earlier == bytes => {}
+                Some(_) => {
+                    return Err(format!(
+                        "{} after `repro {line}` differs from the entry's first run",
+                        path.display()
+                    ))
+                }
+            }
+        }
+        if let Some(bytes) = first {
+            let kept = keep.join(format!("{}.json", entry.name));
+            std::fs::write(&kept, bytes).map_err(|e| format!("writing {}: {e}", kept.display()))?;
+        }
+        match entry.then {
+            Some(then) => then(self, keep),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The synth entry's own checks, after its runs: the report embeds a
+/// passing sketch-vs-exact spot check (small runs keep exact values so the
+/// sketch can be held to its error bound), and a 20,000-query run on the
+/// same 3 shards × 2 jobs peaks at no more than 3× the 5,000-query run's
+/// RSS, catching any `O(N)` materialization in the streaming path. The
+/// large run's `timings.json` is kept as `synth-timings-large.json`.
+fn synth_guards(runner: &Runner, keep: &Path) -> Result<(), String> {
+    let report = runner.out("synth.json");
+    let report = std::fs::read_to_string(&report)
+        .map_err(|e| format!("reading {}: {e}", report.display()))?;
+    if !report.contains("\"sketch_check\"") || !report.contains("\"pass\": true") {
+        return Err("synth.json lacks a passing sketch-vs-exact spot check".to_string());
+    }
+    let timings = runner.out("timings.json");
+    let small = read_counter(&timings, "synth.peak_rss_kb");
+    runner.run("--synth 20000 --shards 3 --jobs 2 --timings")?;
+    let large = read_counter(&timings, "synth.peak_rss_kb");
+    let _ = std::fs::copy(&timings, keep.join("synth-timings-large.json"));
+    match (small, large) {
+        (Some(small), Some(large)) if small > 0 && large > 0 => {
+            if large > small * 3 {
+                return Err(format!(
+                    "peak RSS grew {small} kB -> {large} kB over a 4x run \
+                     (streaming must keep memory independent of N)"
+                ));
+            }
+            println!(
+                "smoke: synth peak RSS flat over a 4x run ({small} kB -> {large} kB, bound 3x)"
+            );
+        }
+        _ => println!("smoke: synth peak RSS unavailable on this platform, guard skipped"),
+    }
+    Ok(())
+}
+
+/// Extract the integer `value` of one named counter from `timings.json`
+/// without a JSON parser: finds `"name": "<counter>"` and reads the
+/// number after the following `"value":`.
+fn read_counter(timings: &Path, counter: &str) -> Option<u64> {
+    let text = std::fs::read_to_string(timings).ok()?;
+    let at = text.find(&format!("\"{counter}\""))?;
+    let rest = &text[at..];
+    let val = rest.find("\"value\":")?;
+    let digits: String = rest[val + 8..]
+        .chars()
+        .skip_while(|c| c.is_whitespace())
+        .take_while(|c| c.is_ascii_digit())
+        .collect();
+    digits.parse().ok()
 }
 
 /// Soak budget for the serve smoke: enough exchanges to cycle every
@@ -295,80 +436,36 @@ const SERVE_SMOKE_SEED: &str = "2023";
 const SERVE_SMOKE_EVAL: &str =
     r#"{"task":"syntax","workload":"joinorder","model":"GPT4","profile":"none","seed":5}"#;
 
-/// End-to-end smoke of the evaluation server over a real socket:
+/// End-to-end smoke of the evaluation server over a real socket, the one
+/// smoke the table cannot express:
 ///
-/// 1. boot `repro --serve 127.0.0.1:0` on a scratch store and parse the
-///    bound address off its stdout;
+/// 1. boot `repro --serve 127.0.0.1:0` on a scratch store under
+///    `target/repro/serve/` and parse the bound address off its stdout;
 /// 2. replay one /eval cold then warm — the warm reply must be a store
 ///    hit with a byte-identical body;
 /// 3. drive the seeded 50-exchange mixed workload through the heavy
 ///    wire-fault profile (`servectl load`, which exits non-zero on any
 ///    5xx);
-/// 4. snapshot /statz to `target/repro/serve-smoke/statz.json` and fail
-///    on any recorded panic, then scan the store for torn entries
-///    (leftover `.tmp` files from interrupted atomic writes);
+/// 4. snapshot /statz to `keep/statz.json` and fail on any recorded
+///    panic, then scan the store for torn entries (leftover `.tmp` files
+///    from interrupted atomic writes);
 /// 5. boot a second server with `--serve-inflight 0` and require the
 ///    deterministic 429 + Retry-After rejection.
-fn serve_smoke(root: &Path) -> i32 {
-    // build the server and client binaries once up front so the spawns
-    // below run fixed artifacts instead of racing `cargo run` locks
-    let build = std::process::Command::new(env!("CARGO"))
-        .current_dir(root)
-        .args(["build", "--release", "-p", "squ-bench", "--bins"])
-        .status();
-    match build {
-        Ok(s) if s.success() => {}
-        Ok(s) => return s.code().unwrap_or(1), // lint:allow: cli tool
-        Err(e) => {
-            eprintln!("serve-smoke: failed to launch cargo: {e}");
-            return 1;
-        }
-    }
-
-    let out_dir = root.join("target").join("repro").join("serve-smoke");
-    let store = out_dir.join("store");
-    let _ = std::fs::remove_dir_all(&out_dir);
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("serve-smoke: cannot create {}: {e}", out_dir.display());
-        return 1;
-    }
-
-    let mut server = match spawn_server(root, &store, &[]) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("serve-smoke: {msg}");
-            return 1;
-        }
-    };
-    let verdict = drive_serve_smoke(root, &server.addr, &out_dir, &store);
+fn serve_smoke(root: &Path, keep: &Path) -> Result<(), String> {
+    let scratch = root.join("target").join("repro").join("serve");
+    let _ = std::fs::remove_dir_all(&scratch);
+    let store = scratch.join("store");
+    let mut server = spawn_server(root, &store, &[])?;
+    let verdict = drive_serve_smoke(root, &server.addr, keep, &store);
     server.shutdown();
-    if let Err(msg) = verdict {
-        eprintln!("serve-smoke: {msg}");
-        return 1;
-    }
+    verdict?;
 
     // saturation: a server with zero in-flight permits must turn every
     // evaluation away with a deterministic 429, never an error or a hang
-    let sat_store = out_dir.join("sat-store");
-    let mut server = match spawn_server(root, &sat_store, &["--serve-inflight", "0"]) {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("serve-smoke: {msg}");
-            return 1;
-        }
-    };
+    let mut server = spawn_server(root, &scratch.join("sat-store"), &["--serve-inflight", "0"])?;
     let verdict = expect_saturated_429(root, &server.addr);
     server.shutdown();
-    match verdict {
-        Ok(()) => {
-            println!("serve-smoke: ok");
-            0
-        }
-        Err(msg) => {
-            eprintln!("serve-smoke: {msg}");
-            1
-        }
-    }
+    verdict
 }
 
 /// A spawned `repro --serve` child plus the address it bound.
@@ -389,7 +486,7 @@ impl ServeChild {
 fn spawn_server(root: &Path, store: &Path, extra: &[&str]) -> Result<ServeChild, String> {
     use std::io::BufRead;
     let repro = root.join("target").join("release").join("repro");
-    let mut child = std::process::Command::new(&repro)
+    let mut child = Command::new(&repro)
         .current_dir(root)
         .args(["--serve", "127.0.0.1:0", "--serve-store"])
         .arg(store)
@@ -420,7 +517,7 @@ fn spawn_server(root: &Path, store: &Path, extra: &[&str]) -> Result<ServeChild,
 /// so failures surface in the CI log). Returns `(exit_code, stdout)`.
 fn run_servectl(root: &Path, addr: &str, args: &[&str]) -> Result<(i32, String), String> {
     let ctl = root.join("target").join("release").join("servectl");
-    let out = std::process::Command::new(&ctl)
+    let out = Command::new(&ctl)
         .current_dir(root)
         .arg(addr)
         .args(args)
@@ -456,7 +553,7 @@ fn drive_serve_smoke(root: &Path, addr: &str, out_dir: &Path, store: &Path) -> R
             "warm body differs from cold body\ncold:\n{cold}\nwarm:\n{warm}"
         ));
     }
-    println!("serve-smoke: cold/warm /eval bodies byte-identical (miss → hit)");
+    println!("smoke: serve cold/warm /eval bodies byte-identical (miss → hit)");
 
     // seeded mixed workload under wire faults; servectl exits non-zero
     // if the server ever answers 5xx
@@ -483,7 +580,7 @@ fn drive_serve_smoke(root: &Path, addr: &str, out_dir: &Path, store: &Path) -> R
     let snapshot = out_dir.join("statz.json");
     std::fs::write(&snapshot, &statz)
         .map_err(|e| format!("writing {}: {e}", snapshot.display()))?;
-    println!("serve-smoke: /statz snapshot at {}", snapshot.display());
+    println!("smoke: serve /statz snapshot at {}", snapshot.display());
     if !statz.contains("\"panics\": 0") {
         return Err(format!("statz reports handler panics:\n{statz}"));
     }
@@ -529,314 +626,8 @@ fn expect_saturated_429(root: &Path, addr: &str) -> Result<(), String> {
     if code != 0 {
         return Err("healthz must stay reachable on a saturated server".to_string());
     }
-    println!("serve-smoke: saturated server rejects /eval with 429, /healthz still up");
+    println!("smoke: serve saturated server rejects /eval with 429, /healthz still up");
     Ok(())
-}
-
-/// Case budget per concrete dialect for the dialect smoke: the same
-/// budget as `fuzz-smoke`, run once per corpus.
-const DIALECT_SMOKE_CASES: &str = "150";
-
-/// The concrete corpora the dialect smoke fuzzes (canonical names as
-/// `repro --dialect` accepts them).
-const DIALECT_SMOKE_DIALECTS: &[&str] = &["sqlite", "postgres", "mysql", "tsql"];
-
-/// End-to-end smoke of the multi-dialect frontend:
-///
-/// 1. build the `repro` binary once in release mode;
-/// 2. `repro --audit` — the dialect-translate task's gold translations
-///    are differentially verified row-for-row against cached witness
-///    databases (alongside every other family's certificates);
-/// 3. per concrete dialect, a seeded 150-case fuzz run whose dialect
-///    oracle holds every corpus entry to the round-trip law, executed
-///    with `--jobs 2` and again with `--jobs 1` — the two reports must
-///    be byte-identical, and each lands in `target/repro/dialect-smoke/`
-///    for CI's artifact upload.
-fn dialect_smoke(root: &Path) -> i32 {
-    let build = std::process::Command::new(env!("CARGO"))
-        .current_dir(root)
-        .args(["build", "--release", "-p", "squ-bench", "--bins"])
-        .status();
-    match build {
-        Ok(s) if s.success() => {}
-        Ok(s) => return s.code().unwrap_or(1), // lint:allow: cli tool
-        Err(e) => {
-            eprintln!("dialect-smoke: failed to launch cargo: {e}");
-            return 1;
-        }
-    }
-
-    let repro = root.join("target").join("release").join("repro");
-    let audit = std::process::Command::new(&repro)
-        .current_dir(root)
-        .arg("--audit")
-        .status();
-    match audit {
-        Ok(s) if s.success() => {}
-        Ok(s) => {
-            eprintln!("dialect-smoke: audit failed");
-            return s.code().unwrap_or(1); // lint:allow: cli tool
-        }
-        Err(e) => {
-            eprintln!("dialect-smoke: cannot spawn {}: {e}", repro.display());
-            return 1;
-        }
-    }
-
-    let out_dir = root.join("target").join("repro").join("dialect-smoke");
-    let _ = std::fs::remove_dir_all(&out_dir);
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("dialect-smoke: cannot create {}: {e}", out_dir.display());
-        return 1;
-    }
-    let report_path = root.join("target").join("repro").join("fuzz.json");
-
-    for dialect in DIALECT_SMOKE_DIALECTS {
-        let mut first: Option<String> = None;
-        for jobs in ["2", "1"] {
-            let status = std::process::Command::new(&repro)
-                .current_dir(root)
-                .args([
-                    "--fuzz",
-                    DIALECT_SMOKE_CASES,
-                    "--fuzz-seed",
-                    FUZZ_SMOKE_SEED,
-                    "--dialect",
-                    dialect,
-                    "--jobs",
-                    jobs,
-                ])
-                .status();
-            match status {
-                Ok(s) if s.success() => {}
-                Ok(s) => {
-                    eprintln!("dialect-smoke: {dialect} corpus failed (--jobs {jobs})");
-                    return s.code().unwrap_or(1); // lint:allow: cli tool
-                }
-                Err(e) => {
-                    eprintln!("dialect-smoke: cannot spawn {}: {e}", repro.display());
-                    return 1;
-                }
-            }
-            let report = match std::fs::read_to_string(&report_path) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("dialect-smoke: reading {}: {e}", report_path.display());
-                    return 1;
-                }
-            };
-            match &first {
-                None => {
-                    let saved = out_dir.join(format!("fuzz-{dialect}.json"));
-                    if let Err(e) = std::fs::write(&saved, &report) {
-                        eprintln!("dialect-smoke: writing {}: {e}", saved.display());
-                        return 1;
-                    }
-                    first = Some(report);
-                }
-                Some(baseline) if *baseline == report => {}
-                Some(_) => {
-                    eprintln!(
-                        "dialect-smoke: {dialect} report differs between --jobs 2 and --jobs 1"
-                    );
-                    return 1;
-                }
-            }
-        }
-        println!("dialect-smoke: {dialect} corpus clean, byte-identical across --jobs");
-    }
-    println!(
-        "dialect-smoke: ok ({} dialects × {DIALECT_SMOKE_CASES} cases, reports in {})",
-        DIALECT_SMOKE_DIALECTS.len(),
-        out_dir.display()
-    );
-    0
-}
-
-/// Small-run query budget for the synth smoke.
-const SYNTH_SMOKE_SMALL: &str = "5000";
-/// Large-run query budget (4× the small run) for the peak-RSS guard.
-const SYNTH_SMOKE_LARGE: &str = "20000";
-
-/// End-to-end smoke of the streaming synthesis subsystem:
-///
-/// 1. build the `repro` binary once in release mode;
-/// 2. `repro --synth 5000 --shards 3 --jobs 2 --timings` — the report
-///    must embed a passing sketch-vs-exact spot check (small runs retain
-///    exact values precisely so CI can hold the sketch to its documented
-///    error bound);
-/// 3. the same synthesis on 1 shard × 1 job — `synth.json` must be
-///    byte-identical (sharding and parallelism are pure optimizations);
-/// 4. `repro --synth 20000` (4× the queries, same shards/jobs) — its
-///    recorded peak RSS must stay under 3× the small run's, catching any
-///    accidental `O(N)` materialization in the streaming path.
-///
-/// The small-run `synth.json` and large-run `timings.json` land in
-/// `target/repro/synth-smoke/` for CI's artifact upload.
-fn synth_smoke(root: &Path) -> i32 {
-    let build = std::process::Command::new(env!("CARGO"))
-        .current_dir(root)
-        .args(["build", "--release", "-p", "squ-bench", "--bins"])
-        .status();
-    match build {
-        Ok(s) if s.success() => {}
-        Ok(s) => return s.code().unwrap_or(1), // lint:allow: cli tool
-        Err(e) => {
-            eprintln!("synth-smoke: failed to launch cargo: {e}");
-            return 1;
-        }
-    }
-
-    let out_dir = root.join("target").join("repro").join("synth-smoke");
-    let _ = std::fs::remove_dir_all(&out_dir);
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("synth-smoke: cannot create {}: {e}", out_dir.display());
-        return 1;
-    }
-    let repro = root.join("target").join("release").join("repro");
-    let report_path = root.join("target").join("repro").join("synth.json");
-    let timings_path = root.join("target").join("repro").join("timings.json");
-
-    let run = |n: &str, shards: &str, jobs: &str| -> i32 {
-        let status = std::process::Command::new(&repro)
-            .current_dir(root)
-            .args([
-                "--synth",
-                n,
-                "--shards",
-                shards,
-                "--jobs",
-                jobs,
-                "--timings",
-            ])
-            .status();
-        match status {
-            Ok(s) if s.success() => 0,
-            Ok(s) => {
-                eprintln!("synth-smoke: --synth {n} --shards {shards} --jobs {jobs} failed");
-                s.code().unwrap_or(1) // lint:allow: cli tool
-            }
-            Err(e) => {
-                eprintln!("synth-smoke: cannot spawn {}: {e}", repro.display());
-                1
-            }
-        }
-    };
-
-    // 1) sharded small run: sketch check must be present and passing
-    let code = run(SYNTH_SMOKE_SMALL, "3", "2");
-    if code != 0 {
-        return code;
-    }
-    let sharded = match std::fs::read_to_string(&report_path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("synth-smoke: reading {}: {e}", report_path.display());
-            return 1;
-        }
-    };
-    if !sharded.contains("\"sketch_check\"") || !sharded.contains("\"pass\": true") {
-        eprintln!("synth-smoke: report lacks a passing sketch-vs-exact spot check");
-        return 1;
-    }
-    if let Err(e) = std::fs::write(out_dir.join("synth.json"), &sharded) {
-        eprintln!("synth-smoke: writing artifact: {e}");
-        return 1;
-    }
-    let small_rss = read_counter(&timings_path, "synth.peak_rss_kb");
-    println!("synth-smoke: {SYNTH_SMOKE_SMALL}-query sharded run clean (sketch check passed)");
-
-    // 2) unsharded, sequential run: must be byte-identical
-    let code = run(SYNTH_SMOKE_SMALL, "1", "1");
-    if code != 0 {
-        return code;
-    }
-    match std::fs::read_to_string(&report_path) {
-        Ok(unsharded) if unsharded == sharded => {
-            println!("synth-smoke: report byte-identical across shard and job counts");
-        }
-        Ok(_) => {
-            eprintln!("synth-smoke: report differs between 3 shards × 2 jobs and 1 shard × 1 job");
-            return 1;
-        }
-        Err(e) => {
-            eprintln!("synth-smoke: reading {}: {e}", report_path.display());
-            return 1;
-        }
-    }
-
-    // 3) 4×-larger run: peak RSS must stay flat (round-budget bounded)
-    let code = run(SYNTH_SMOKE_LARGE, "3", "2");
-    if code != 0 {
-        return code;
-    }
-    let large_rss = read_counter(&timings_path, "synth.peak_rss_kb");
-    if let Ok(t) = std::fs::read_to_string(&timings_path) {
-        let _ = std::fs::write(out_dir.join("timings-large.json"), t);
-    }
-    match (small_rss, large_rss) {
-        (Some(small), Some(large)) if small > 0 && large > 0 => {
-            if large > small * 3 {
-                eprintln!(
-                    "synth-smoke: peak RSS grew {small} kB -> {large} kB over a 4x run \
-                     (streaming must keep memory independent of N)"
-                );
-                return 1;
-            }
-            println!(
-                "synth-smoke: peak RSS flat over a 4x run ({small} kB -> {large} kB, bound 3x)"
-            );
-        }
-        _ => println!("synth-smoke: peak RSS unavailable on this platform, guard skipped"),
-    }
-
-    println!("synth-smoke: ok (artifacts in {})", out_dir.display());
-    0
-}
-
-/// Extract the integer `value` of one named counter from `timings.json`
-/// without a JSON parser: finds `"name": "<counter>"` and reads the
-/// number after the following `"value":`.
-fn read_counter(timings: &Path, counter: &str) -> Option<u64> {
-    let text = std::fs::read_to_string(timings).ok()?;
-    let at = text.find(&format!("\"{counter}\""))?;
-    let rest = &text[at..];
-    let val = rest.find("\"value\":")?;
-    let digits: String = rest[val + 8..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Launch `repro --fuzz <cases> --fuzz-seed 7 [extra…]`; returns the exit
-/// code.
-fn run_repro_fuzz(root: &Path, label: &str, cases: &str, extra: &[&str]) -> i32 {
-    let status = std::process::Command::new(env!("CARGO"))
-        .current_dir(root)
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "squ-bench",
-            "--bin",
-            "repro",
-            "--",
-            "--fuzz",
-            cases,
-            "--fuzz-seed",
-            FUZZ_SMOKE_SEED,
-        ])
-        .args(extra)
-        .status();
-    match status {
-        Ok(s) => s.code().unwrap_or(1), // lint:allow: cli tool
-        Err(e) => {
-            eprintln!("{label}: failed to launch cargo: {e}");
-            1
-        }
-    }
 }
 
 /// The workspace root: two levels above this crate's manifest.
@@ -1457,5 +1248,83 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Stand-in for `repro` in the smoke-runner tests, run as
+    /// `sh stand-in.sh ACTION [TEXT]`: `write TEXT` writes the output,
+    /// `fail` exits 3, `none` writes nothing.
+    const STAND_IN: &str = "mkdir -p target/repro
+case \"$1\" in
+  write) echo \"$2\" > target/repro/out.json ;;
+  fail) exit 3 ;;
+esac
+";
+
+    /// Run one smoke entry through the stand-in in a fresh temporary
+    /// directory; returns the verdict and the kept output, if any.
+    fn run_stand_in(test: &str, entry: &Smoke) -> (Result<(), String>, Option<String>) {
+        let root = std::env::temp_dir().join(format!("xtask-smoke-{}-{test}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let keep = root.join("keep");
+        std::fs::create_dir_all(&keep).expect("create temporary directory");
+        std::fs::write(root.join("stand-in.sh"), STAND_IN).expect("write stand-in");
+        let runner = Runner {
+            program: PathBuf::from("sh"),
+            root: root.clone(),
+        };
+        let verdict = runner.entry(entry, &keep);
+        let kept = std::fs::read_to_string(keep.join(format!("{}.json", entry.name))).ok();
+        let _ = std::fs::remove_dir_all(&root);
+        (verdict, kept)
+    }
+
+    fn entry(runs: &'static [&'static str]) -> Smoke {
+        Smoke {
+            name: "t",
+            runs,
+            output: Some("out.json"),
+            then: None,
+        }
+    }
+
+    #[test]
+    fn smoke_runner_keeps_an_output_every_run_repeats() {
+        let (verdict, kept) = run_stand_in(
+            "same",
+            &entry(&["stand-in.sh write a", "stand-in.sh write a"]),
+        );
+        assert_eq!(verdict, Ok(()));
+        assert_eq!(kept.as_deref(), Some("a\n"));
+    }
+
+    #[test]
+    fn smoke_runner_fails_when_a_run_exits_non_zero() {
+        let (verdict, kept) =
+            run_stand_in("exit", &entry(&["stand-in.sh write a", "stand-in.sh fail"]));
+        let err = verdict.unwrap_err();
+        assert!(err.contains("`repro stand-in.sh fail` failed"), "{err}");
+        assert_eq!(kept, None);
+    }
+
+    #[test]
+    fn smoke_runner_fails_when_the_output_differs_between_runs() {
+        let (verdict, kept) = run_stand_in(
+            "differs",
+            &entry(&["stand-in.sh write a", "stand-in.sh write b"]),
+        );
+        let err = verdict.unwrap_err();
+        assert!(err.contains("differs from the entry's first run"), "{err}");
+        assert_eq!(kept, None);
+    }
+
+    #[test]
+    fn smoke_runner_fails_when_a_run_leaves_no_output() {
+        // the first run's output is removed before the second, so the
+        // second cannot pass on it
+        let (verdict, kept) =
+            run_stand_in("none", &entry(&["stand-in.sh write a", "stand-in.sh none"]));
+        let err = verdict.unwrap_err();
+        assert!(err.contains("`repro stand-in.sh none` left no"), "{err}");
+        assert_eq!(kept, None);
     }
 }

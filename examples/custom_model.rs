@@ -14,10 +14,10 @@
 //! cargo run --release --example custom_model
 //! ```
 
-use squ::pipeline::{dataset_id, run_syntax};
 use squ::{Suite, PAPER_SEED};
 use squ_eval::BinaryCounts;
-use squ_llm::{LanguageModel, ModelId, Request, SimulatedModel};
+use squ_llm::{run_task_direct, DatasetId, LanguageModel, ModelId, Request, SimulatedModel};
+use squ_tasks::SyntaxTask;
 use squ_workload::Workload;
 
 /// Always answers "no error" — the majority-class baseline.
@@ -64,18 +64,18 @@ impl LanguageModel for ParserOracle {
 fn main() {
     let suite = Suite::new(PAPER_SEED);
     let examples = suite.syntax_for(Workload::Sdss);
-    let ds = dataset_id(Workload::Sdss);
+    let ds = DatasetId::from(Workload::Sdss);
 
     let mut rows: Vec<(String, BinaryCounts)> = Vec::new();
     for id in ModelId::ALL {
-        let outcomes = run_syntax(&SimulatedModel::new(id), ds, examples);
+        let outcomes = run_task_direct(&SyntaxTask, &SimulatedModel::new(id), ds, examples);
         rows.push((
             id.name().to_string(),
             BinaryCounts::from_pairs(outcomes.iter().map(|o| (o.example.has_error, o.said_error))),
         ));
     }
     for model in [&AlwaysNo as &dyn LanguageModel, &ParserOracle] {
-        let outcomes = run_syntax(model, ds, examples);
+        let outcomes = run_task_direct(&SyntaxTask, model, ds, examples);
         rows.push((
             model.name().to_string(),
             BinaryCounts::from_pairs(outcomes.iter().map(|o| (o.example.has_error, o.said_error))),

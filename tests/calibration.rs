@@ -8,10 +8,10 @@
 //! for the differences that are expected by design (regenerated datasets,
 //! convention notes in EXPERIMENTS.md).
 
-use squ::pipeline::*;
 use squ::{Suite, PAPER_SEED};
 use squ_eval::BinaryCounts;
-use squ_llm::{ModelId, SimulatedModel};
+use squ_llm::{run_task_direct, DatasetId, ModelId, SimulatedModel};
+use squ_tasks::{EquivTask, PerfTask, SyntaxTask, TokenTask};
 use squ_workload::Workload;
 use std::sync::OnceLock;
 
@@ -41,15 +41,16 @@ fn syntax_error_f1_within_band() {
     let mut failures = Vec::new();
     for w in Workload::task_workloads() {
         for m in ModelId::ALL {
-            let outcomes = run_syntax(
+            let outcomes = run_task_direct(
+                &SyntaxTask,
                 &SimulatedModel::new(m),
-                dataset_id(w),
+                DatasetId::from(w),
                 suite().syntax_for(w),
             );
             let c = BinaryCounts::from_pairs(
                 outcomes.iter().map(|o| (o.example.has_error, o.said_error)),
             );
-            let t = syntax_error_target(m, dataset_id(w));
+            let t = syntax_error_target(m, DatasetId::from(w));
             check(
                 "syntax",
                 m,
@@ -70,9 +71,10 @@ fn miss_token_f1_within_band() {
     let mut failures = Vec::new();
     for w in Workload::task_workloads() {
         for m in ModelId::ALL {
-            let outcomes = run_token(
+            let outcomes = run_task_direct(
+                &TokenTask,
                 &SimulatedModel::new(m),
-                dataset_id(w),
+                DatasetId::from(w),
                 suite().tokens_for(w),
             );
             let c = BinaryCounts::from_pairs(
@@ -80,7 +82,7 @@ fn miss_token_f1_within_band() {
                     .iter()
                     .map(|o| (o.example.has_missing, o.said_missing)),
             );
-            let t = miss_token_target(m, dataset_id(w));
+            let t = miss_token_target(m, DatasetId::from(w));
             check(
                 "token",
                 m,
@@ -100,7 +102,12 @@ fn perf_f1_within_band() {
     use squ_llm::profiles::perf_target;
     let mut failures = Vec::new();
     for m in ModelId::ALL {
-        let outcomes = run_perf(&SimulatedModel::new(m), suite().perf());
+        let outcomes = run_task_direct(
+            &PerfTask,
+            &SimulatedModel::new(m),
+            DatasetId::Sdss,
+            suite().perf(),
+        );
         let c = BinaryCounts::from_pairs(
             outcomes
                 .iter()
@@ -126,13 +133,18 @@ fn equiv_f1_within_band() {
     let mut failures = Vec::new();
     for w in Workload::task_workloads() {
         for m in ModelId::ALL {
-            let outcomes = run_equiv(&SimulatedModel::new(m), dataset_id(w), suite().equiv_for(w));
+            let outcomes = run_task_direct(
+                &EquivTask,
+                &SimulatedModel::new(m),
+                DatasetId::from(w),
+                suite().equiv_for(w),
+            );
             let c = BinaryCounts::from_pairs(
                 outcomes
                     .iter()
                     .map(|o| (o.example.equivalent, o.said_equivalent)),
             );
-            let t = equiv_target(m, dataset_id(w));
+            let t = equiv_target(m, DatasetId::from(w));
             check(
                 "equiv",
                 m,
@@ -155,9 +167,10 @@ fn location_hit_rate_within_band() {
     let mut failures = Vec::new();
     for w in Workload::task_workloads() {
         for m in ModelId::ALL {
-            let outcomes = run_token(
+            let outcomes = run_task_direct(
+                &TokenTask,
                 &SimulatedModel::new(m),
-                dataset_id(w),
+                DatasetId::from(w),
                 suite().tokens_for(w),
             );
             let stats = LocationStats::from_pairs(outcomes.iter().filter_map(|o| {
@@ -166,7 +179,7 @@ fn location_hit_rate_within_band() {
                     _ => None,
                 }
             }));
-            let (_, hr) = miss_token_loc_target(m, dataset_id(w));
+            let (_, hr) = miss_token_loc_target(m, DatasetId::from(w));
             if (stats.hit_rate() - hr).abs() > TOLERANCE {
                 failures.push(format!(
                     "loc/{m}/{}: measured HR {:.2} vs paper {hr:.2}",

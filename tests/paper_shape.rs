@@ -2,10 +2,10 @@
 //! from the full pipeline (datasets → prompts → models → extraction →
 //! metrics), not from hard-coded numbers.
 
-use squ::pipeline::*;
 use squ::{Suite, PAPER_SEED};
 use squ_eval::{BinaryCounts, Cell, PropertySlice, SubtypeBreakdown};
-use squ_llm::{ModelId, SimulatedModel};
+use squ_llm::{run_task_direct, DatasetId, ModelId, SimulatedModel};
+use squ_tasks::{EquivTask, ExplainTask, PerfTask, SyntaxTask, TokenTask};
 use squ_workload::Workload;
 use std::sync::OnceLock;
 
@@ -15,18 +15,20 @@ fn suite() -> &'static Suite {
 }
 
 fn syntax_counts(m: ModelId, w: Workload) -> BinaryCounts {
-    let outcomes = run_syntax(
+    let outcomes = run_task_direct(
+        &SyntaxTask,
         &SimulatedModel::new(m),
-        dataset_id(w),
+        DatasetId::from(w),
         suite().syntax_for(w),
     );
     BinaryCounts::from_pairs(outcomes.iter().map(|o| (o.example.has_error, o.said_error)))
 }
 
 fn token_counts(m: ModelId, w: Workload) -> BinaryCounts {
-    let outcomes = run_token(
+    let outcomes = run_task_direct(
+        &TokenTask,
         &SimulatedModel::new(m),
-        dataset_id(w),
+        DatasetId::from(w),
         suite().tokens_for(w),
     );
     BinaryCounts::from_pairs(
@@ -37,7 +39,12 @@ fn token_counts(m: ModelId, w: Workload) -> BinaryCounts {
 }
 
 fn equiv_counts(m: ModelId, w: Workload) -> BinaryCounts {
-    let outcomes = run_equiv(&SimulatedModel::new(m), dataset_id(w), suite().equiv_for(w));
+    let outcomes = run_task_direct(
+        &EquivTask,
+        &SimulatedModel::new(m),
+        DatasetId::from(w),
+        suite().equiv_for(w),
+    );
     BinaryCounts::from_pairs(
         outcomes
             .iter()
@@ -46,7 +53,12 @@ fn equiv_counts(m: ModelId, w: Workload) -> BinaryCounts {
 }
 
 fn perf_counts(m: ModelId) -> BinaryCounts {
-    let outcomes = run_perf(&SimulatedModel::new(m), suite().perf());
+    let outcomes = run_task_direct(
+        &PerfTask,
+        &SimulatedModel::new(m),
+        DatasetId::Sdss,
+        suite().perf(),
+    );
     BinaryCounts::from_pairs(
         outcomes
             .iter()
@@ -174,9 +186,10 @@ fn miss_token_easier_than_syntax_error() {
 #[test]
 fn fn_queries_are_longer_fig6() {
     for m in [ModelId::Llama3, ModelId::Gemini] {
-        let outcomes = run_syntax(
+        let outcomes = run_task_direct(
+            &SyntaxTask,
             &SimulatedModel::new(m),
-            dataset_id(Workload::Sdss),
+            DatasetId::from(Workload::Sdss),
             suite().syntax_for(Workload::Sdss),
         );
         let slice = PropertySlice::build(
@@ -213,9 +226,10 @@ fn subtype_difficulty_matches_fig7() {
             (Workload::Sdss, &mut sdss_pairs),
             (Workload::SqlShare, &mut share_pairs),
         ] {
-            let outcomes = run_syntax(
+            let outcomes = run_task_direct(
+                &SyntaxTask,
                 &SimulatedModel::new(m),
-                dataset_id(w),
+                DatasetId::from(w),
                 suite().syntax_for(w),
             );
             for o in outcomes {
@@ -249,9 +263,10 @@ fn token_subtype_difficulty_matches_fig9() {
     let collect = |w: Workload| {
         let mut pairs = Vec::new();
         for m in ModelId::ALL {
-            let outcomes = run_token(
+            let outcomes = run_task_direct(
+                &TokenTask,
                 &SimulatedModel::new(m),
-                dataset_id(w),
+                DatasetId::from(w),
                 suite().tokens_for(w),
             );
             for o in outcomes {
@@ -288,9 +303,10 @@ fn gpt4_best_at_location() {
     use squ_eval::LocationStats;
     for w in Workload::task_workloads() {
         let stats = |m: ModelId| {
-            let outcomes = run_token(
+            let outcomes = run_task_direct(
+                &TokenTask,
                 &SimulatedModel::new(m),
-                dataset_id(w),
+                DatasetId::from(w),
                 suite().tokens_for(w),
             );
             LocationStats::from_pairs(outcomes.iter().filter_map(|o| {
@@ -328,7 +344,12 @@ fn gpt4_best_at_location() {
 /// negatives (models equate length with cost).
 #[test]
 fn perf_fp_queries_are_longer_fig10() {
-    let outcomes = run_perf(&SimulatedModel::new(ModelId::MistralAi), suite().perf());
+    let outcomes = run_task_direct(
+        &PerfTask,
+        &SimulatedModel::new(ModelId::MistralAi),
+        DatasetId::Sdss,
+        suite().perf(),
+    );
     let slice = PropertySlice::build(
         "word_count",
         outcomes.iter().map(|o| {
@@ -358,7 +379,12 @@ fn equiv_fp_concentrate_on_condition_edits() {
     let mut neg_by_transform: std::collections::HashMap<String, usize> = Default::default();
     for m in ModelId::ALL {
         for w in Workload::task_workloads() {
-            let outcomes = run_equiv(&SimulatedModel::new(m), dataset_id(w), suite().equiv_for(w));
+            let outcomes = run_task_direct(
+                &EquivTask,
+                &SimulatedModel::new(m),
+                DatasetId::from(w),
+                suite().equiv_for(w),
+            );
             for o in outcomes {
                 if !o.example.equivalent {
                     *neg_by_transform
@@ -390,7 +416,12 @@ fn equiv_fp_concentrate_on_condition_edits() {
 #[test]
 fn explanation_rubric_orders_models() {
     let avg = |m: ModelId| {
-        let outcomes = run_explain(&SimulatedModel::new(m), suite().explain());
+        let outcomes = run_task_direct(
+            &ExplainTask,
+            &SimulatedModel::new(m),
+            DatasetId::Spider,
+            suite().explain(),
+        );
         outcomes.iter().map(|o| o.rubric.score).sum::<f64>() / outcomes.len() as f64
     };
     let g4 = avg(ModelId::Gpt4);
@@ -422,9 +453,10 @@ fn artifacts_deterministic() {
 /// reported properties (GPT3.5, SQLShare).
 #[test]
 fn token_fn_larger_on_all_fig8_properties() {
-    let outcomes = run_token(
+    let outcomes = run_task_direct(
+        &TokenTask,
         &SimulatedModel::new(ModelId::Gpt35),
-        dataset_id(Workload::SqlShare),
+        DatasetId::from(Workload::SqlShare),
         suite().tokens_for(Workload::SqlShare),
     );
     for prop in ["word_count", "predicate_count", "nestedness", "table_count"] {
@@ -454,9 +486,10 @@ fn token_fn_larger_on_all_fig8_properties() {
 /// GPT4 names the right type it usually names the right word too.
 #[test]
 fn word_guess_accuracy_tracks_type_accuracy() {
-    let outcomes = run_token(
+    let outcomes = run_task_direct(
+        &TokenTask,
         &SimulatedModel::new(ModelId::Gpt4),
-        dataset_id(Workload::Sdss),
+        DatasetId::from(Workload::Sdss),
         suite().tokens_for(Workload::Sdss),
     );
     let mut correct_type = 0usize;

@@ -1,10 +1,10 @@
 //! End-to-end pipeline checks: extraction robustness, artifact
 //! completeness, and the prompt-tuning loop.
 
-use squ::pipeline::*;
 use squ::{run_experiment, ExperimentId, Suite, PAPER_SEED};
 use squ_eval::BinaryCounts;
-use squ_llm::{ModelId, SimulatedModel};
+use squ_llm::{run_task_direct, DatasetId, ModelId, SimulatedModel};
+use squ_tasks::{EquivTask, PerfTask, SyntaxTask, TokenTask};
 use squ_workload::Workload;
 use std::sync::OnceLock;
 
@@ -21,28 +21,40 @@ fn extraction_review_rate_is_low() {
     let mut review = 0usize;
     for m in ModelId::ALL {
         for w in Workload::task_workloads() {
-            for o in run_syntax(
+            for o in run_task_direct(
+                &SyntaxTask,
                 &SimulatedModel::new(m),
-                dataset_id(w),
+                DatasetId::from(w),
                 suite().syntax_for(w),
             ) {
                 total += 1;
                 review += o.needs_review as usize;
             }
-            for o in run_token(
+            for o in run_task_direct(
+                &TokenTask,
                 &SimulatedModel::new(m),
-                dataset_id(w),
+                DatasetId::from(w),
                 suite().tokens_for(w),
             ) {
                 total += 1;
                 review += o.needs_review as usize;
             }
-            for o in run_equiv(&SimulatedModel::new(m), dataset_id(w), suite().equiv_for(w)) {
+            for o in run_task_direct(
+                &EquivTask,
+                &SimulatedModel::new(m),
+                DatasetId::from(w),
+                suite().equiv_for(w),
+            ) {
                 total += 1;
                 review += o.needs_review as usize;
             }
         }
-        for o in run_perf(&SimulatedModel::new(m), suite().perf()) {
+        for o in run_task_direct(
+            &PerfTask,
+            &SimulatedModel::new(m),
+            DatasetId::Sdss,
+            suite().perf(),
+        ) {
             total += 1;
             review += o.needs_review as usize;
         }
@@ -58,9 +70,10 @@ fn extraction_review_rate_is_low() {
 /// position the downstream metrics can consume.
 #[test]
 fn token_responses_carry_type_and_position() {
-    let outcomes = run_token(
+    let outcomes = run_task_direct(
+        &TokenTask,
         &SimulatedModel::new(ModelId::Gpt4),
-        dataset_id(Workload::Sdss),
+        DatasetId::from(Workload::Sdss),
         suite().tokens_for(Workload::Sdss),
     );
     for o in outcomes.iter().filter(|o| o.said_missing) {
@@ -151,17 +164,19 @@ fn alternate_seed_suite_is_healthy() {
     );
     // GPT4 still wins on the alternate seed
     let g4 = {
-        let o = run_syntax(
+        let o = run_task_direct(
+            &SyntaxTask,
             &SimulatedModel::new(ModelId::Gpt4),
-            dataset_id(Workload::Sdss),
+            DatasetId::from(Workload::Sdss),
             alt.syntax_for(Workload::Sdss),
         );
         BinaryCounts::from_pairs(o.iter().map(|x| (x.example.has_error, x.said_error))).f1()
     };
     let gem = {
-        let o = run_syntax(
+        let o = run_task_direct(
+            &SyntaxTask,
             &SimulatedModel::new(ModelId::Gemini),
-            dataset_id(Workload::Sdss),
+            DatasetId::from(Workload::Sdss),
             alt.syntax_for(Workload::Sdss),
         );
         BinaryCounts::from_pairs(o.iter().map(|x| (x.example.has_error, x.said_error))).f1()
