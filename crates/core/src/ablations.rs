@@ -213,7 +213,7 @@ pub fn ablation_subtype(suite: &Suite) -> Artifact {
 /// Witness-count ablation: how many of the benchmark's non-equivalent
 /// pairs would a smaller witness batch fail to distinguish?
 pub fn ablation_witness(suite: &Suite) -> Artifact {
-    use squ_engine::execute_query;
+    use squ_engine::Prepared;
     let mut t = TextTable::new(&["witnesses", "pairs checked", "distinguished", "missed %"]);
     // fresh witness batches, graded sizes
     for n in [1usize, 2, 3, 5] {
@@ -234,10 +234,11 @@ pub fn ablation_witness(suite: &Suite) -> Artifact {
                 };
                 let schema = squ_workload::schema_for(w, &e.schema_name);
                 let witnesses = squ_engine::witness_batch(&schema, 0xAB1A ^ checked as u64);
+                let (mut p1, mut p2) = (Prepared::new(&q1), Prepared::new(&q2));
                 let mut differs = false;
                 let mut failed = false;
                 for db in witnesses.iter().take(n) {
-                    match (execute_query(&q1, db), execute_query(&q2, db)) {
+                    match (p1.execute(db), p2.execute(db)) {
                         (Ok((r1, _)), Ok((r2, _))) => {
                             if !r1.result_equal(&r2) {
                                 differs = true;

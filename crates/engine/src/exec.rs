@@ -5,7 +5,9 @@
 //! the compiled plan. A query the compiler rejects runs whole on
 //! the reference interpreter ([`crate::reference_query`]), the engine's one
 //! executable definition of SQL semantics; [`ExecStats::compiled`] and
-//! [`ExecStats::fallbacks`] record which path ran.
+//! [`ExecStats::fallbacks`] record which path ran. Both steps live in
+//! [`crate::Prepared`], which a caller running one query on many
+//! databases holds instead.
 //!
 //! The rest of the module is leaf machinery: three-valued logic,
 //! comparison, arithmetic, `CAST`, `LIKE`, the scalar-function library and
@@ -105,17 +107,13 @@ pub fn execute(stmt: &Statement, db: &Database) -> Result<Relation, ExecError> {
 /// query runs on the reference interpreter ([`crate::reference_query`])
 /// instead. [`ExecStats::compiled`] / [`ExecStats::fallbacks`] record which
 /// path ran.
+///
+/// This is `Prepared::new(q).execute(db)`: it proves each WHERE empty or
+/// not afresh. To run one query on many databases, hold one
+/// [`crate::Prepared`] across them, which gives the same results and
+/// statistics with each proof made once.
 pub fn execute_query(q: &Query, db: &Database) -> Result<(Relation, ExecStats), ExecError> {
-    if let Some(cq) = crate::physical::compile_query(q, db) {
-        return cq.execute(db);
-    }
-    let rel = crate::reference::reference_query(q, db)?;
-    let stats = ExecStats {
-        rows_output: rel.rows.len() as u64,
-        fallbacks: 1,
-        ..ExecStats::default()
-    };
-    Ok((rel, stats))
+    crate::Prepared::new(q).execute(db)
 }
 
 /// A qualified column in a working row.

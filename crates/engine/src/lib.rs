@@ -2,7 +2,8 @@
 //!
 //! Three substrates the benchmark needs from a database engine:
 //!
-//! * an **executor** ([`execute_query`]) — queries are lowered by
+//! * an **executor** ([`execute_query`], or [`Prepared`] to run one query
+//!   on many databases) — queries are lowered by
 //!   [`compile_query`] into a compiled plan of columnar batch operators
 //!   (vectorized filters, hash joins, hash-index probes, a cost-driven join
 //!   order), and anything the compiler does not cover falls back to the
@@ -46,7 +47,7 @@ pub use cost::{runtime_bucket, CostModel, RUNTIME_BUCKET_EDGES_MS};
 pub use exec::{execute, execute_query, like_match, ExecError, ExecStats};
 pub use index::{indexes_enabled, set_indexes_enabled};
 pub use like::LikeMatcher;
-pub use physical::{compile_query, CompiledQuery};
+pub use physical::{compile_query, CompiledQuery, Prepared};
 pub use plan::{explain, greedy_join_order, plan_query, Plan};
 pub use reference::{reference_execute, reference_query};
 pub use table::{Database, Relation};

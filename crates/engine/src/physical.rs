@@ -22,10 +22,18 @@
 //! pinned by the differential fuzzer (`squ-fuzz`), which runs every
 //! generated query and every transform output on both engines.
 //!
-//! A [`CompiledQuery`] borrows nothing from the database, so one compile
-//! can be executed against many same-schema witness databases (the perf
-//! harness does exactly that). Runtime guards turn any compile/execute
-//! drift — missing table, arity change — into clean [`ExecError`]s.
+//! **One query, many databases.** A plan is compiled for one database:
+//! join order and index probes follow its row counts, so each witness of
+//! a batch gets its own plan. The one compile step that does not depend
+//! on the database is the empty-result proof (`squ_sema::never_true` on
+//! an ungrouped block's WHERE). A [`Prepared`] query keeps those proofs
+//! for its whole lifetime: [`crate::execute_query`] is
+//! `Prepared::new(q).execute(db)`, and a witness loop that holds one
+//! `Prepared` per query proves each WHERE once instead of once per
+//! database, with the same plan, result and [`ExecStats`] on each.
+//! A [`CompiledQuery`] borrows nothing from the database it was compiled
+//! for; runtime guards turn any compile/execute drift — missing table,
+//! arity change — into clean [`ExecError`]s.
 
 use crate::cost::CostModel;
 use crate::exec::{
@@ -57,15 +65,84 @@ pub struct CompiledQuery {
 /// compiled engine does not cover; [`crate::execute_query`] then falls
 /// back to [`crate::reference_query`].
 pub fn compile_query(q: &Query, db: &Database) -> Option<CompiledQuery> {
+    compile(q, db, &mut HashMap::new())
+}
+
+/// [`compile_query`], reusing and extending the empty-result proofs in
+/// `proofs` (see [`Prepared`]).
+fn compile(q: &Query, db: &Database, proofs: &mut Proofs) -> Option<CompiledQuery> {
     let mut c = Compiler {
         db,
         cost: CostModel::default(),
         ctes: Vec::new(),
         strict: false,
+        proofs,
     };
     Some(CompiledQuery {
         phys: c.compile_q(q)?,
     })
+}
+
+/// `never_true` verdicts by the address of each proved WHERE.
+type Proofs = HashMap<*const Expr, bool>;
+
+/// A query prepared for execution on many databases.
+///
+/// [`Prepared::execute`] runs the query exactly as [`crate::execute_query`]
+/// does: compiled for each database, with the same plan, result and
+/// [`ExecStats`], or on the reference interpreter when the compiler
+/// rejects it. What it keeps between executions is each SELECT block's
+/// empty-result proof, the one compile step that does not depend on the
+/// database. Proofs are keyed by the WHERE's address inside the borrowed
+/// query, which stays put for the borrow: the compiler lowers the
+/// borrowed AST and never clones a node.
+///
+/// ```
+/// use squ_engine::{execute_query, witness_batch, Prepared};
+/// use squ_schema::schemas::sdss;
+///
+/// let q = squ_parser::parse_query("SELECT plate FROM SpecObj WHERE z > 5 AND z < 3").unwrap();
+/// let mut prepared = Prepared::new(&q);
+/// for db in &witness_batch(&sdss(), 7) {
+///     // the WHERE is proved empty on the first database only
+///     assert_eq!(prepared.execute(db), execute_query(&q, db));
+/// }
+/// ```
+#[derive(Debug)]
+pub struct Prepared<'q> {
+    query: &'q Query,
+    proofs: Proofs,
+}
+
+impl<'q> Prepared<'q> {
+    /// Prepare `query`; nothing is proved before the first execution.
+    pub fn new(query: &'q Query) -> Self {
+        Prepared {
+            query,
+            proofs: HashMap::new(),
+        }
+    }
+
+    /// The prepared query.
+    pub fn query(&self) -> &'q Query {
+        self.query
+    }
+
+    /// Execute against `db`, returning the result relation and execution
+    /// statistics. [`ExecStats::compiled`] / [`ExecStats::fallbacks`]
+    /// record which engine ran.
+    pub fn execute(&mut self, db: &Database) -> Result<(Relation, ExecStats), ExecError> {
+        if let Some(cq) = compile(self.query, db, &mut self.proofs) {
+            return cq.execute(db);
+        }
+        let rel = crate::reference::reference_query(self.query, db)?;
+        let stats = ExecStats {
+            rows_output: rel.rows.len() as u64,
+            fallbacks: 1,
+            ..ExecStats::default()
+        };
+        Ok((rel, stats))
+    }
 }
 
 impl CompiledQuery {
@@ -564,6 +641,9 @@ struct Compiler<'a> {
     /// and an eager ResourceLimit must not differ from the lazy one of
     /// `reference.rs`).
     strict: bool,
+    /// Empty-result proofs made so far, kept across compiles by
+    /// [`Prepared`].
+    proofs: &'a mut Proofs,
 }
 
 impl<'a> Compiler<'a> {
@@ -1186,11 +1266,15 @@ impl<'a> Compiler<'a> {
         // Empty-prune: an unsatisfiable WHERE on an ungrouped block (no
         // aggregates, so empty input means empty output) can never emit a
         // row. Proven with no data assumptions, so it is sound for any
-        // database, not just generated witnesses.
+        // database, not just generated witnesses, and proved once per
+        // block for all of them.
         let empty_prune = grouping.is_none()
-            && s.selection
-                .as_ref()
-                .is_some_and(|w| squ_sema::never_true(w, &squ_sema::Assumptions::none()));
+            && s.selection.as_ref().is_some_and(|w| {
+                *self
+                    .proofs
+                    .entry(w as *const Expr)
+                    .or_insert_with(|| squ_sema::never_true(w, &squ_sema::Assumptions::none()))
+            });
         Some(PhysSelect {
             units,
             exec_order,
@@ -2793,6 +2877,100 @@ mod tests {
         let want = reference_query(&q, &db).unwrap();
         assert_eq!(rel.columns, want.columns);
         assert_eq!(rel.rows, want.rows);
+    }
+
+    /// Hold one `Prepared` for `sql` across a witness batch. On every
+    /// witness it must return what a fresh `execute_query` returns (rows
+    /// and every counter) and what the reference interpreter returns,
+    /// with `prunes` blocks pruned; afterwards its memo must hold one
+    /// proof per proved block, `proved` in all.
+    fn prepared_agrees(sql: &str, prunes: u64, proved: usize) -> ExecStats {
+        let q = parse_query(sql).unwrap();
+        let witnesses = crate::witness_batch(&squ_schema::schemas::sdss(), 19);
+        let mut prepared = Prepared::new(&q);
+        let mut last = ExecStats::default();
+        for (i, db) in witnesses.iter().enumerate() {
+            let (rel, stats) = prepared.execute(db).unwrap();
+            let (want, want_stats) = execute_query(&q, db).unwrap();
+            assert_eq!(rel, want, "witness {i}: rows of {sql}");
+            assert_eq!(stats, want_stats, "witness {i}: stats of {sql}");
+            let reference = reference_query(&q, db).unwrap();
+            assert!(
+                rel.result_equal(&reference),
+                "witness {i}: reference rows of {sql}"
+            );
+            assert_eq!(stats.empty_prunes, prunes, "witness {i}: prunes of {sql}");
+            last = stats;
+        }
+        assert_eq!(prepared.proofs.len(), proved, "proofs kept for {sql}");
+        last
+    }
+
+    #[test]
+    fn prepared_keeps_one_proof_per_block_across_a_batch() {
+        // one unsatisfiable and one satisfiable block: a proof shared
+        // between them would prune both or neither
+        let stats = prepared_agrees(
+            "SELECT plate FROM SpecObj WHERE z > 5 AND z < 3 \
+             UNION SELECT plate FROM SpecObj WHERE z < 2000",
+            1,
+            2,
+        );
+        assert!(
+            stats.rows_output > 0,
+            "the satisfiable side must return rows"
+        );
+        prepared_agrees(
+            "SELECT plate FROM SpecObj WHERE z < 2000 \
+             UNION SELECT plate FROM SpecObj WHERE z > 5 AND z < 3",
+            1,
+            2,
+        );
+        // a CTE body and the block that reads it
+        prepared_agrees(
+            "WITH c AS (SELECT plate, z FROM SpecObj WHERE z < 2000) \
+             SELECT plate FROM c WHERE plate = NULL",
+            1,
+            2,
+        );
+        // a derived table
+        prepared_agrees(
+            "SELECT d.plate FROM (SELECT plate FROM SpecObj WHERE mjd > 9 AND mjd < 1) d \
+             WHERE d.plate < 2000",
+            1,
+            2,
+        );
+        // an IN subquery slot and a scalar subquery slot
+        prepared_agrees(
+            "SELECT plate FROM SpecObj \
+             WHERE plate IN (SELECT plate FROM SpecObj WHERE z > 5 AND z < 3)",
+            1,
+            2,
+        );
+        prepared_agrees(
+            "SELECT plate FROM SpecObj \
+             WHERE z < (SELECT MAX(z) FROM SpecObj WHERE z < 2000) AND mjd < 2000",
+            0,
+            1,
+        );
+    }
+
+    #[test]
+    fn prepared_never_proves_a_grouped_block() {
+        // aggregates produce their empty-input row: no prune, no proof
+        let stats = prepared_agrees("SELECT COUNT(*) FROM SpecObj WHERE z > 5 AND z < 3", 0, 0);
+        assert_eq!(stats.rows_output, 1);
+    }
+
+    #[test]
+    fn prepared_falls_back_like_execute_query() {
+        // the left block compiles (and is proved) before the correlated
+        // right block rejects the whole query
+        let q = "SELECT plate FROM SpecObj WHERE z > 5 AND z < 3 \
+                 UNION SELECT s.plate FROM SpecObj s \
+                 WHERE EXISTS (SELECT objid FROM PhotoObj p WHERE p.objid = s.bestobjid)";
+        let stats = prepared_agrees(q, 0, 1);
+        assert_eq!((stats.compiled, stats.fallbacks), (0, 1));
     }
 
     impl CompiledQuery {

@@ -8,9 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use squ_engine::{
-    execute_query, reference_query, witness_batch_cached, Database, ExecError, Relation,
-};
+use squ_engine::{reference_query, witness_batch_cached, Database, ExecError, Prepared, Relation};
 use squ_parser::ast::{Query, Statement};
 use squ_parser::{parse_query, parse_query_dialect, print_query, print_query_dialect, Dialect};
 use squ_schema::analyze;
@@ -424,7 +422,7 @@ enum DiffOutcome {
 /// One `execute_query` run: the result, or why it failed.
 type Run = Result<Relation, ExecError>;
 
-/// Run `q` on `db` with `execute_query` and compare the result with
+/// Run the prepared query on `db` and compare the result with
 /// `reference_query`; returns the engine run alongside the outcome.
 ///
 /// Both failing is agreement (the oracle does not compare error *kinds*:
@@ -436,8 +434,8 @@ type Run = Result<Relation, ExecError>;
 /// Engine-side [`squ_engine::ExecStats`] from a successful run are folded
 /// into `eng` (failed runs contribute nothing, keeping the tally
 /// deterministic regardless of which side errors first).
-fn diff_on(q: &Query, db: &Database, eng: &mut EngineCounters) -> (Run, DiffOutcome) {
-    let fast = execute_query(q, db).map(|(r, s)| {
+fn diff_on(p: &mut Prepared, db: &Database, eng: &mut EngineCounters) -> (Run, DiffOutcome) {
+    let fast = p.execute(db).map(|(r, s)| {
         eng.rows_scanned += s.rows_scanned;
         eng.join_pairs += s.join_pairs;
         eng.batches += s.batches;
@@ -449,7 +447,7 @@ fn diff_on(q: &Query, db: &Database, eng: &mut EngineCounters) -> (Run, DiffOutc
         eng.empty_prunes += s.empty_prunes;
         r
     });
-    let outcome = match (&fast, reference_query(q, db)) {
+    let outcome = match (&fast, reference_query(p.query(), db)) {
         (Ok(a), Ok(b)) => {
             if relations_agree(a, &b) {
                 DiffOutcome::Agree
@@ -478,9 +476,13 @@ fn diff_on(q: &Query, db: &Database, eng: &mut EngineCounters) -> (Run, DiffOutc
 /// reported counters reflect only the oracle's own runs.
 fn disagrees_somewhere(q: &Query, witnesses: &[Database]) -> bool {
     let mut scratch = EngineCounters::default();
-    witnesses
-        .iter()
-        .any(|db| matches!(diff_on(q, db, &mut scratch).1, DiffOutcome::Disagree(_)))
+    let mut p = Prepared::new(q);
+    witnesses.iter().any(|db| {
+        matches!(
+            diff_on(&mut p, db, &mut scratch).1,
+            DiffOutcome::Disagree(_)
+        )
+    })
 }
 
 /// Row-for-row agreement when the query pins an order (ORDER BY up to
@@ -522,8 +524,9 @@ fn differential(
 ) -> Vec<Run> {
     let mut runs = Vec::with_capacity(witnesses.len());
     let mut recorded = false;
+    let mut p = Prepared::new(q);
     for db in witnesses {
-        let (run, outcome) = diff_on(q, db, &mut report.engine);
+        let (run, outcome) = diff_on(&mut p, db, &mut report.engine);
         runs.push(run);
         match outcome {
             DiffOutcome::Agree => report.counts.differential_pass += 1,
@@ -730,8 +733,13 @@ fn pair_verdict(runs: impl IntoIterator<Item = (Run, Run)>) -> Verdict {
 /// [`pair_verdict`] on fresh engine runs of `q1` and `q2`, for shrink
 /// predicates (the oracle itself reads the runs it already compared).
 fn differential_verdict_skipping_limits(q1: &Query, q2: &Query, witnesses: &[Database]) -> Verdict {
-    let run = |q, db| execute_query(q, db).map(|(r, _)| r);
-    pair_verdict(witnesses.iter().map(|db| (run(q1, db), run(q2, db))))
+    let (mut p1, mut p2) = (Prepared::new(q1), Prepared::new(q2));
+    let run = |p: &mut Prepared, db| p.execute(db).map(|(r, _)| r);
+    pair_verdict(
+        witnesses
+            .iter()
+            .map(|db| (run(&mut p1, db), run(&mut p2, db))),
+    )
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 use crate::{
     token::{CompareOp, Span, Token, TokenKind},
-    words::word_index_at,
+    words::WordCursor,
     Keyword, LexError,
 };
 use squ_dialect::Dialect;
@@ -19,6 +19,7 @@ pub struct Lexer<'a> {
     bytes: &'a [u8],
     pos: usize,
     dialect: Dialect,
+    words: WordCursor,
 }
 
 impl<'a> Lexer<'a> {
@@ -34,6 +35,7 @@ impl<'a> Lexer<'a> {
             bytes: src.as_bytes(),
             pos: 0,
             dialect,
+            words: WordCursor::default(),
         }
     }
 
@@ -191,7 +193,7 @@ impl<'a> Lexer<'a> {
             kind,
             text,
             span: Span::new(start, self.pos),
-            word_index: word_index_at(self.src, start),
+            word_index: self.words.index_at(self.src, start),
         }))
     }
 

@@ -76,7 +76,8 @@ impl LintReport {
 /// Analyze one SQL statement against `schema` through the whole pipeline.
 ///
 /// Stops at the first failing layer: a lexical error yields a single
-/// `SQU001`, a structural parse error a single `SQU002`; otherwise the
+/// `SQU001`, a structural parse error a single `SQU002`, nesting past the
+/// parser's limit a single `SQU003`; otherwise the
 /// binder runs and its diagnostics are mapped to their stable codes, then
 /// the style advisories (`SQU1xx`) are appended.
 pub fn lint(sql: &str, schema: &Schema) -> LintReport {
@@ -112,6 +113,7 @@ pub fn lint(sql: &str, schema: &Schema) -> LintReport {
             report.diagnostics.push(LintDiagnostic {
                 code: match e {
                     ParseError::Lex(_) => "SQU001",
+                    ParseError::TooDeep { .. } => "SQU003",
                     _ => "SQU002",
                 },
                 severity: Severity::Error,

@@ -62,6 +62,12 @@ pub const REGISTRY: &[RuleInfo] = &[
         summary: "parse error (unexpected, missing, or trailing token)",
     },
     RuleInfo {
+        code: "SQU003",
+        severity: Severity::Error,
+        paper_label: None,
+        summary: "statement nests deeper than the parser's limit",
+    },
+    RuleInfo {
         code: "SQU010",
         severity: Severity::Error,
         paper_label: None,

@@ -32,6 +32,14 @@ pub enum ParseError {
         /// Its word index.
         word_index: usize,
     },
+    /// The statement nests deeper than the parser's limit
+    /// ([`crate::MAX_NESTING`]).
+    TooDeep {
+        /// The nesting limit.
+        limit: usize,
+        /// Word index of the token that opened the level past the limit.
+        word_index: usize,
+    },
 }
 
 impl ParseError {
@@ -39,7 +47,8 @@ impl ParseError {
     pub fn word_index(&self) -> Option<usize> {
         match self {
             ParseError::Unexpected { word_index, .. }
-            | ParseError::TrailingTokens { word_index, .. } => Some(*word_index),
+            | ParseError::TrailingTokens { word_index, .. }
+            | ParseError::TooDeep { word_index, .. } => Some(*word_index),
             _ => None,
         }
     }
@@ -65,6 +74,9 @@ impl fmt::Display for ParseError {
                     f,
                     "unexpected trailing token {found:?} at word {word_index}"
                 )
+            }
+            ParseError::TooDeep { limit, word_index } => {
+                write!(f, "nesting deeper than {limit} levels at word {word_index}")
             }
         }
     }

@@ -33,7 +33,7 @@ pub mod visit;
 
 pub use ast::*;
 pub use error::ParseError;
-pub use parser::{parse, parse_dialect, parse_query, parse_query_dialect};
+pub use parser::{parse, parse_dialect, parse_query, parse_query_dialect, MAX_NESTING};
 pub use printer::{
     print_expr, print_query, print_query_dialect, print_statement, print_statement_dialect,
 };

@@ -15,6 +15,16 @@
 //! expr        := or_expr   (precedence: OR < AND < NOT < predicate <
 //!                add < mul < unary < primary)
 //! ```
+//!
+//! Nesting is bounded: parentheses, `NOT` and sign chains, call, `CASE`
+//! and `CAST` arguments, subqueries, derived tables, CTE bodies and
+//! parenthesized set operands each open one level, and past
+//! [`MAX_NESTING`] open levels parsing stops with
+//! [`ParseError::TooDeep`]. That bounds the parser's own recursion and,
+//! through it, every later stage that recurses over the AST (printer,
+//! binder, analyzer, compiler, both interpreters) — except along a chain
+//! of binary operators (`a AND b AND …`), which the parser builds with a
+//! loop into a left-deep tree as deep as the chain.
 
 use crate::ast::*;
 use crate::error::ParseError;
@@ -61,10 +71,18 @@ pub fn parse_query_dialect(sql: &str, dialect: Dialect) -> Result<Query, ParseEr
     }
 }
 
+/// The most nesting levels a statement may open (see the module doc).
+/// Low enough that a statement at the limit goes through parse, bind,
+/// lint, analysis and both executors on a 2 MiB thread stack in a debug
+/// build.
+pub const MAX_NESTING: usize = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     dialect: Dialect,
+    /// Nesting levels open at `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -73,7 +91,29 @@ impl Parser {
             tokens,
             pos: 0,
             dialect,
+            depth: 0,
         }
+    }
+
+    /// Run `parse` one nesting level deeper. With [`MAX_NESTING`] levels
+    /// already open, fail instead at the token that opened the new level.
+    fn nested<T>(
+        &mut self,
+        parse: fn(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::TooDeep {
+                limit: MAX_NESTING,
+                word_index: self
+                    .pos
+                    .checked_sub(1)
+                    .map_or(0, |i| self.tokens[i].word_index),
+            });
+        }
+        self.depth += 1;
+        let out = parse(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> Option<&Token> {
@@ -267,7 +307,7 @@ impl Parser {
                 let name = self.ident("CTE name")?;
                 self.expect_kw(Keyword::As)?;
                 self.expect(&TokenKind::LParen, "'(' before CTE body")?;
-                let q = self.parse_query()?;
+                let q = self.nested(Self::parse_query)?;
                 self.expect(&TokenKind::RParen, "')' after CTE body")?;
                 ctes.push(Cte {
                     name,
@@ -346,7 +386,7 @@ impl Parser {
             )
         {
             self.bump(); // (
-            let inner = self.parse_set_expr()?;
+            let inner = self.nested(Self::parse_set_expr)?;
             self.expect(&TokenKind::RParen, "')' after parenthesized query")?;
             return Ok(inner);
         }
@@ -509,7 +549,7 @@ impl Parser {
 
     fn parse_table_primary(&mut self) -> Result<TableRef, ParseError> {
         if self.eat(&TokenKind::LParen) {
-            let q = self.parse_query()?;
+            let q = self.nested(Self::parse_query)?;
             self.expect(&TokenKind::RParen, "')' after derived table")?;
             let alias = self.parse_opt_alias();
             return Ok(TableRef::Derived {
@@ -565,7 +605,7 @@ impl Parser {
     fn parse_not(&mut self) -> Result<Expr, ParseError> {
         if self.at_kw(Keyword::Not) && !self.next_is_exists_after_not() {
             self.bump();
-            let inner = self.parse_not()?;
+            let inner = self.nested(Self::parse_not)?;
             return Ok(Expr::Not(Box::new(inner)));
         }
         self.parse_predicate()
@@ -635,7 +675,7 @@ impl Parser {
         if self.eat_kw(Keyword::In) {
             self.expect(&TokenKind::LParen, "'(' after IN")?;
             if self.at_kw(Keyword::Select) || self.at_kw(Keyword::With) {
-                let q = self.parse_query()?;
+                let q = self.nested(Self::parse_query)?;
                 self.expect(&TokenKind::RParen, "')' after IN subquery")?;
                 return Ok(Expr::InSubquery {
                     expr: Box::new(left),
@@ -722,18 +762,18 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&TokenKind::ArithOp('-')) {
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Self::parse_unary)?;
             return Ok(Expr::Neg(Box::new(inner)));
         }
         if self.eat(&TokenKind::ArithOp('+')) {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_primary()
     }
 
     fn parse_parenthesized_query(&mut self) -> Result<Query, ParseError> {
         self.expect(&TokenKind::LParen, "'(' before subquery")?;
-        let q = self.parse_query()?;
+        let q = self.nested(Self::parse_query)?;
         self.expect(&TokenKind::RParen, "')' after subquery")?;
         Ok(q)
     }
@@ -764,7 +804,7 @@ impl Parser {
             Some(TokenKind::Keyword(Keyword::Cast)) => {
                 self.bump();
                 self.expect(&TokenKind::LParen, "'(' after CAST")?;
-                let expr = self.parse_expr()?;
+                let expr = self.nested(Self::parse_expr)?;
                 self.expect_kw(Keyword::As)?;
                 let type_name = self.ident("type name in CAST")?;
                 // tolerate (n) precision
@@ -789,7 +829,7 @@ impl Parser {
                     Ok(Expr::ScalarSubquery(Box::new(q)))
                 } else {
                     self.bump();
-                    let e = self.parse_expr()?;
+                    let e = self.nested(Self::parse_expr)?;
                     self.expect(&TokenKind::RParen, "')' after expression")?;
                     Ok(e)
                 }
@@ -842,7 +882,7 @@ impl Parser {
                     self.bump();
                     args.push(Expr::Wildcard);
                 } else {
-                    args.push(self.parse_expr()?);
+                    args.push(self.nested(Self::parse_expr)?);
                 }
                 if !self.eat(&TokenKind::Comma) {
                     break;
@@ -860,22 +900,22 @@ impl Parser {
     fn parse_case(&mut self) -> Result<Expr, ParseError> {
         self.expect_kw(Keyword::Case)?;
         let operand = if !self.at_kw(Keyword::When) {
-            Some(Box::new(self.parse_expr()?))
+            Some(Box::new(self.nested(Self::parse_expr)?))
         } else {
             None
         };
         let mut branches = Vec::new();
         while self.eat_kw(Keyword::When) {
-            let when = self.parse_expr()?;
+            let when = self.nested(Self::parse_expr)?;
             self.expect_kw(Keyword::Then)?;
-            let then = self.parse_expr()?;
+            let then = self.nested(Self::parse_expr)?;
             branches.push((when, then));
         }
         if branches.is_empty() {
             return Err(self.unexpected("WHEN in CASE expression"));
         }
         let else_expr = if self.eat_kw(Keyword::Else) {
-            Some(Box::new(self.parse_expr()?))
+            Some(Box::new(self.nested(Self::parse_expr)?))
         } else {
             None
         };

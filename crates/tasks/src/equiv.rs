@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use squ_engine::{execute_query, witness_batch_cached, Database};
+use squ_engine::{witness_batch_cached, Database, Prepared};
 use squ_parser::ast::*;
 use squ_parser::{parse_query, print_query, CompareOp};
 use squ_workload::{schema_for, Dataset, WorkloadQuery};
@@ -1040,15 +1040,18 @@ pub enum Verdict {
     Failed,
 }
 
-/// Execute both queries on every witness and compare results.
+/// Execute both queries on every witness and compare results. Each query
+/// is held as one [`Prepared`] across the batch, so its WHEREs are proved
+/// empty or not once rather than once per witness.
 pub fn differential_verdict(q1: &Query, q2: &Query, witnesses: &[Database]) -> Verdict {
+    let (mut p1, mut p2) = (Prepared::new(q1), Prepared::new(q2));
     let mut any = false;
     for db in witnesses {
-        let r1 = match execute_query(q1, db) {
+        let r1 = match p1.execute(db) {
             Ok((r, _)) => r,
             Err(_) => return Verdict::Failed,
         };
-        let r2 = match execute_query(q2, db) {
+        let r2 = match p2.execute(db) {
             Ok((r, _)) => r,
             Err(_) => return Verdict::Failed,
         };

@@ -693,7 +693,7 @@ impl Task for TranslateTask {
     /// cross-dialect conformance gate: a translation that means something
     /// different than its source cannot pass it.
     fn audit(&self, w: Workload, examples: &[TranslateExample], ctx: &mut AuditCtx) {
-        use squ_engine::{execute_query, reference_query, witness_batch_cached};
+        use squ_engine::{reference_query, witness_batch_cached, Prepared};
 
         let name = format!("translate/{}", w.name());
         ctx.reference_skips.entry(name.clone()).or_insert(0);
@@ -737,8 +737,9 @@ impl Task for TranslateTask {
                 let schema = ctx.schema(&ex.schema_name);
                 witness_batch_cached(schema, 0xBEE5 ^ seed_of(&ex.schema_name))
             };
+            let (mut p_src, mut p_gold) = (Prepared::new(&q_src), Prepared::new(&q_gold));
             for (i, db) in witnesses.iter().enumerate() {
-                match (execute_query(&q_src, db), execute_query(&q_gold, db)) {
+                match (p_src.execute(db), p_gold.execute(db)) {
                     (Ok((r1, _)), Ok((r2, _))) => {
                         if !r1.result_equal(&r2) {
                             ctx.violation(

@@ -14,7 +14,7 @@
 //!   "SELECT plate FROM SpecObj WHERE ra > 180 AND z > 0.5"
 //! ```
 
-use squ_engine::{execute_query, witness_batch};
+use squ_engine::{witness_batch, Prepared};
 use squ_parser::parse_query;
 use squ_schema::schemas::sdss;
 
@@ -62,8 +62,10 @@ fn main() {
         };
         let mut verdict = "EQUIVALENT on all witnesses (no counterexample found)";
         let mut detail = String::new();
+        // one `Prepared` per query proves its WHEREs once for every witness
+        let (mut p1, mut p2) = (Prepared::new(&q1), Prepared::new(&q2));
         for (i, db) in witnesses.iter().enumerate() {
-            let r1 = match execute_query(&q1, db) {
+            let r1 = match p1.execute(db) {
                 Ok((r, _)) => r,
                 Err(e) => {
                     verdict = "UNDECIDED (execution failed)";
@@ -71,7 +73,7 @@ fn main() {
                     break;
                 }
             };
-            let r2 = match execute_query(&q2, db) {
+            let r2 = match p2.execute(db) {
                 Ok((r, _)) => r,
                 Err(e) => {
                     verdict = "UNDECIDED (execution failed)";

@@ -1,9 +1,13 @@
 //! End-to-end audit assertions: the default suite must carry zero
 //! invariant violations — every ground-truth label it emits is provable by
-//! the static analyzer — and the audit report must be byte-identical
-//! whatever the worker-thread count.
+//! the static analyzer — the static equivalence certifier never
+//! contradicts a label and convicts a substantial share of
+//! non-equivalence labels without executing a query, and the audit
+//! report must be byte-identical whatever the worker-thread count.
+//!
+//! One paper-seed suite and one audit per job count serve every test.
 
-use squ::{audit_suite, Suite, PAPER_SEED};
+use squ::{audit_suite, AuditReport, Suite, PAPER_SEED};
 use std::sync::OnceLock;
 
 fn suite() -> &'static Suite {
@@ -11,9 +15,20 @@ fn suite() -> &'static Suite {
     SUITE.get_or_init(|| Suite::new(PAPER_SEED))
 }
 
+/// `audit_suite(suite(), jobs)` for `jobs` in 1..=4, each run once.
+fn audit(jobs: usize) -> &'static AuditReport {
+    static AUDITS: [OnceLock<AuditReport>; 4] = [
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+        OnceLock::new(),
+    ];
+    AUDITS[jobs - 1].get_or_init(|| audit_suite(suite(), jobs))
+}
+
 #[test]
 fn default_suite_audits_clean() {
-    let report = audit_suite(suite(), 2);
+    let report = audit(2);
     assert!(
         report.is_clean(),
         "{} violations, first: {:?}",
@@ -56,9 +71,7 @@ fn default_suite_audits_clean() {
 
 #[test]
 fn audit_report_is_job_count_invariant() {
-    let a = audit_suite(suite(), 1);
-    let b = audit_suite(suite(), 3);
-    assert_eq!(a.to_json(), b.to_json());
+    assert_eq!(audit(1).to_json(), audit(3).to_json());
 }
 
 #[test]
@@ -85,4 +98,54 @@ fn audit_flags_a_poisoned_label() {
         "poisoned label not caught: {:?}",
         ctx.violations
     );
+}
+
+/// The full paper-seed audit holds every invariant, including the
+/// label-vs-certificate consistency checks.
+#[test]
+fn paper_seed_audit_is_clean() {
+    let report = audit(2);
+    assert!(
+        report.is_clean(),
+        "audit violations: {:#?}",
+        report.violations
+    );
+    assert!(report.checked > 1000, "suite too small: {}", report.checked);
+}
+
+/// Acceptance floor: the certifier statically convicts at least 30% of
+/// non-equivalence-labeled pairs — inequivalence proven from the ASTs
+/// alone, with no engine execution.
+#[test]
+fn certifier_convicts_at_least_thirty_percent_of_noneq_pairs() {
+    let c = &audit(2).certs;
+    assert!(c.noneq_pairs > 100, "too few pairs: {}", c.noneq_pairs);
+    assert!(
+        c.conviction_rate() >= 30.0,
+        "conviction rate {:.1}% ({}/{}) below the 30% floor",
+        c.conviction_rate(),
+        c.noneq_convicted,
+        c.noneq_pairs
+    );
+    assert!(
+        c.certified_equivalent > 0,
+        "no pair certified equivalent at all"
+    );
+    assert_eq!(
+        c.pairs,
+        c.certified_equivalent + c.certified_inequivalent + c.certified_unknown,
+        "certificate tallies must partition the pairs"
+    );
+}
+
+/// Certifier tallies land in the serialized report and survive a JSON
+/// round trip, and the whole report is thread-count independent.
+#[test]
+fn audit_report_is_jobs_independent_and_round_trips() {
+    let a = audit(1);
+    assert_eq!(a.to_json(), audit(4).to_json());
+
+    let back: AuditReport = serde_json::from_str(&a.to_json()).expect("audit report deserializes");
+    assert_eq!(back.certs, a.certs);
+    assert!(a.to_json().contains("noneq_convicted"), "{}", a.to_json());
 }
