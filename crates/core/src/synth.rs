@@ -40,7 +40,7 @@ use squ_workload::analysis::default_edges;
 use squ_workload::sketch::{exact_quantile, QuantileSketch};
 use squ_workload::stream::StreamCursor;
 use squ_workload::target::{
-    accepts, axis_value, AcceptRule, AxisReport, Controller, RoundCounts, RoundPlan,
+    accepts, bucket_index, AcceptRule, AxisReport, Controller, RoundCounts, RoundPlan,
 };
 use squ_workload::{synth_profile, QueryStream, TargetSpec, Workload};
 
@@ -219,7 +219,10 @@ fn fp_item(index: u64, sql: &str, schema_name: &str) -> u64 {
 
 /// Build one shard of one round: walk the stream over `[start,
 /// start + len)` under the round's profile, tally every candidate, and
-/// summarize the accepted ones.
+/// summarize the accepted ones. A candidate derives only the values read
+/// here: its target axes to decide, and for an accepted one the summary's
+/// histogram and sketch values and its text, so a candidate rejected on
+/// AST axes alone is never printed or costed.
 fn run_shard(
     cfg: &SynthConfig,
     spec: Option<&TargetSpec>,
@@ -242,28 +245,28 @@ fn run_shard(
     let mut sketches = vec![QuantileSketch::new(); SKETCH_PROPS.len()];
     let mut accepted = Vec::new();
     let mut exact: Vec<Vec<f64>> = vec![Vec::new(); SKETCH_PROPS.len()];
+    let axes = spec.map_or(&[][..], |s| &s.axes[..]);
+    let mut values = Vec::with_capacity(axes.len());
     for index in start..start + len {
-        let q = iter.next().expect("stream is infinite"); // lint:allow: StreamIter::next always yields
-        let values: Vec<f64> = spec
-            .map(|s| s.axes.iter().map(|a| axis_value(&q, &a.property)).collect())
-            .unwrap_or_default();
+        let c = iter.candidate();
+        values.clear();
+        values.extend(axes.iter().map(|a| c.value(&a.property)));
         let take = accepts(&plan.accept, cfg.seed, index, &values);
         counts.record(spec, &values, take);
         if !take {
             continue;
         }
         for (h, (prop, edges)) in hist.iter_mut().zip(HIST_PROPS.iter().zip(&hist_edge_sets)) {
-            let b = squ_workload::target::bucket_index(edges, axis_value(&q, prop));
-            h[b] += 1;
+            h[bucket_index(edges, c.value(prop))] += 1;
         }
         for (i, prop) in SKETCH_PROPS.iter().enumerate() {
-            let v = axis_value(&q, prop);
+            let v = c.value(prop);
             sketches[i].insert(v);
             if collect_exact {
                 exact[i].push(v);
             }
         }
-        accepted.push((index, fp_item(index, &q.sql, &q.schema_name)));
+        accepted.push((index, fp_item(index, c.sql(), c.schema_name())));
     }
     ShardSummary {
         counts,

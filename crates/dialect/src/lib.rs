@@ -185,8 +185,9 @@ impl Dialect {
 
     /// Is `ident` (case-insensitive) a reserved word of this dialect?
     pub fn is_reserved(self, ident: &str) -> bool {
-        let upper = ident.to_ascii_uppercase();
-        self.reserved_words().contains(&upper.as_str())
+        self.reserved_words()
+            .iter()
+            .any(|w| w.eq_ignore_ascii_case(ident))
     }
 }
 

@@ -10,12 +10,14 @@
 //! The `_dialect` entry points render the same AST in a concrete dialect:
 //! identifiers that are not bare words in that dialect (or collide with its
 //! reserved words) are wrapped in the dialect's canonical quotes, and a
-//! top-level `LIMIT`/`TOP` is folded to whichever spelling the dialect
-//! accepts, so `parse_dialect(print_*_dialect(ast, d), d)` round-trips.
+//! top-level `LIMIT`/`TOP` (of a query, or of a `CREATE … AS` source) is
+//! folded to whichever spelling the dialect accepts, so
+//! `parse_dialect(print_*_dialect(ast, d), d)` round-trips.
 
 use crate::ast::*;
 use squ_dialect::Dialect;
 use squ_lexer::Keyword;
+use std::borrow::Cow;
 use std::fmt::Write;
 
 /// Render a statement as canonical SQL (the default [`Dialect::Squ`]).
@@ -26,14 +28,7 @@ pub fn print_statement(stmt: &Statement) -> String {
 /// Render a statement as canonical SQL in `dialect`.
 pub fn print_statement_dialect(stmt: &Statement, dialect: Dialect) -> String {
     let mut s = String::new();
-    match stmt {
-        Statement::Query(q) => {
-            let mut q = q.clone();
-            fold_limit_top(&mut q, dialect);
-            write_query(&mut s, &q, dialect);
-        }
-        other => write_statement(&mut s, other, dialect),
-    }
+    write_statement(&mut s, stmt, dialect);
     s
 }
 
@@ -45,10 +40,8 @@ pub fn print_query(q: &Query) -> String {
 /// Render a query as canonical SQL in `dialect`, folding a top-level
 /// `LIMIT` / `TOP` into the spelling the dialect accepts.
 pub fn print_query_dialect(q: &Query, dialect: Dialect) -> String {
-    let mut q = q.clone();
-    fold_limit_top(&mut q, dialect);
     let mut s = String::new();
-    write_query(&mut s, &q, dialect);
+    write_top_query(&mut s, q, dialect);
     s
 }
 
@@ -62,25 +55,28 @@ pub fn print_expr(e: &Expr) -> String {
 /// Move a top-level row bound to the spelling `dialect` accepts: `TOP n`
 /// becomes a trailing `LIMIT n` where `TOP` is unsupported, and vice
 /// versa. Only a plain-`SELECT` body participates; anything the fold
-/// cannot express stays faithful to the AST.
-fn fold_limit_top(q: &mut Query, dialect: Dialect) {
-    if !dialect.supports_top() && q.limit.is_none() {
-        if let SetExpr::Select(s) = &mut q.body {
-            if let Some(n) = s.top.take() {
-                q.limit = Some(n);
-            }
-        }
+/// cannot express stays faithful to the AST. The query is copied only
+/// when the fold changes it, which it never does in [`Dialect::Squ`].
+fn fold_limit_top(q: &Query, dialect: Dialect) -> Cow<'_, Query> {
+    let SetExpr::Select(s) = &q.body else {
+        return Cow::Borrowed(q);
+    };
+    let (mut top, mut limit) = (s.top, q.limit);
+    if !dialect.supports_top() && limit.is_none() {
+        limit = top.take();
     }
-    if !dialect.supports_limit() {
-        if let Some(n) = q.limit {
-            if let SetExpr::Select(s) = &mut q.body {
-                if s.top.is_none() {
-                    s.top = Some(n);
-                    q.limit = None;
-                }
-            }
-        }
+    if !dialect.supports_limit() && top.is_none() {
+        top = limit.take();
     }
+    if (top, limit) == (s.top, q.limit) {
+        return Cow::Borrowed(q);
+    }
+    let mut q = q.clone();
+    if let SetExpr::Select(s) = &mut q.body {
+        s.top = top;
+    }
+    q.limit = limit;
+    Cow::Owned(q)
 }
 
 /// Is `part` a bare word of `dialect` (no quoting needed)?
@@ -122,7 +118,7 @@ fn write_ident(out: &mut String, name: &str, dialect: Dialect) {
 
 fn write_statement(out: &mut String, stmt: &Statement, d: Dialect) {
     match stmt {
-        Statement::Query(q) => write_query(out, q, d),
+        Statement::Query(q) => write_top_query(out, q, d),
         Statement::CreateTable {
             name,
             columns,
@@ -132,7 +128,7 @@ fn write_statement(out: &mut String, stmt: &Statement, d: Dialect) {
             write_ident(out, name, d);
             if let Some(q) = source {
                 out.push_str(" AS ");
-                write_query(out, q, d);
+                write_top_query(out, q, d);
             } else {
                 out.push_str(" (");
                 for (i, c) in columns.iter().enumerate() {
@@ -149,9 +145,15 @@ fn write_statement(out: &mut String, stmt: &Statement, d: Dialect) {
             out.push_str("CREATE VIEW ");
             write_ident(out, name, d);
             out.push_str(" AS ");
-            write_query(out, query, d);
+            write_top_query(out, query, d);
         }
     }
+}
+
+/// Write a statement's own query (a `SELECT`, or the source of a `CREATE
+/// TABLE … AS` or `CREATE VIEW`), with its row bound folded for `d`.
+fn write_top_query(out: &mut String, q: &Query, d: Dialect) {
+    write_query(out, &fold_limit_top(q, d), d);
 }
 
 fn write_query(out: &mut String, q: &Query, d: Dialect) {
@@ -674,6 +676,56 @@ mod tests {
         );
         // Squ prints both faithfully
         assert_eq!(print_query(&q), "SELECT TOP 5 x FROM t");
+
+        // a CREATE statement's source query folds too
+        for (sql, d, want) in [
+            (
+                "CREATE TABLE t2 AS SELECT x FROM t LIMIT 5",
+                Dialect::Tsql,
+                "CREATE TABLE t2 AS SELECT TOP 5 x FROM t",
+            ),
+            (
+                "CREATE TABLE t2 AS SELECT TOP 5 x FROM t",
+                Dialect::Sqlite,
+                "CREATE TABLE t2 AS SELECT x FROM t LIMIT 5",
+            ),
+            (
+                "CREATE VIEW v AS SELECT TOP 5 x FROM t",
+                Dialect::Postgres,
+                "CREATE VIEW v AS SELECT x FROM t LIMIT 5",
+            ),
+        ] {
+            let stmt = parse(sql).unwrap();
+            assert_eq!(print_statement_dialect(&stmt, d), want, "{}", d.name());
+        }
+
+        // what the fold leaves alone it borrows: every query in Squ, a
+        // query with both bounds, and a set-operation body
+        for sql in [
+            "SELECT x FROM t LIMIT 5",
+            "SELECT TOP 5 x FROM t",
+            "SELECT TOP 3 x FROM t LIMIT 5",
+        ] {
+            let q = parse_query(sql).unwrap();
+            assert!(matches!(fold_limit_top(&q, Dialect::Squ), Cow::Borrowed(_)));
+            assert_eq!(print_query(&q), sql);
+        }
+        for (sql, d) in [
+            ("SELECT TOP 3 x FROM t LIMIT 5", Dialect::Sqlite),
+            ("SELECT TOP 3 x FROM t LIMIT 5", Dialect::Tsql),
+            (
+                "SELECT x FROM a UNION SELECT x FROM b LIMIT 5",
+                Dialect::Tsql,
+            ),
+        ] {
+            let q = parse_query(sql).unwrap();
+            assert!(
+                matches!(fold_limit_top(&q, d), Cow::Borrowed(_)),
+                "{sql:?} in {}",
+                d.name()
+            );
+            assert_eq!(print_query_dialect(&q, d), sql, "{}", d.name());
+        }
     }
 
     #[test]
@@ -715,6 +767,20 @@ mod tests {
             let s2 = parse_dialect(&printed, d)
                 .unwrap_or_else(|e| panic!("{printed:?} in {}: {e}", d.name()));
             assert_eq!(s1, s2, "{sql:?} -> {printed:?} in {}", d.name());
+        }
+        // a CREATE source carrying the other dialect's row bound prints as
+        // a statement of `d`, and that print is a fixpoint
+        for (sql, d) in [
+            ("CREATE TABLE t2 AS SELECT x FROM t LIMIT 5", Dialect::Tsql),
+            ("CREATE TABLE t2 AS SELECT TOP 5 x FROM t", Dialect::Sqlite),
+            ("CREATE VIEW v AS SELECT TOP 5 x FROM t", Dialect::Postgres),
+        ] {
+            let printed = print_statement_dialect(&parse(sql).unwrap(), d);
+            let s1 = parse_dialect(&printed, d)
+                .unwrap_or_else(|e| panic!("{printed:?} in {}: {e}", d.name()));
+            let again = print_statement_dialect(&s1, d);
+            assert_eq!(again, printed, "{sql:?} in {}", d.name());
+            assert_eq!(parse_dialect(&again, d).unwrap(), s1);
         }
     }
 }

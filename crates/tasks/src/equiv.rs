@@ -12,10 +12,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use squ_engine::{witness_batch_cached, Database, Prepared};
+use squ_engine::{witness_batch_cached, Database, Prepared, Relation};
 use squ_parser::ast::*;
 use squ_parser::{parse_query, print_query, CompareOp};
 use squ_workload::{schema_for, Dataset, WorkloadQuery};
+use std::cell::OnceCell;
 
 /// The ten equivalence-preserving transformation types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -1044,19 +1045,32 @@ pub enum Verdict {
 /// is held as one [`Prepared`] across the batch, so its WHEREs are proved
 /// empty or not once rather than once per witness.
 pub fn differential_verdict(q1: &Query, q2: &Query, witnesses: &[Database]) -> Verdict {
-    let (mut p1, mut p2) = (Prepared::new(q1), Prepared::new(q2));
+    verdict_against(witness_results(q1, witnesses).as_deref(), q2, witnesses)
+}
+
+/// A query's result on every witness, or `None` if a run fails.
+fn witness_results(q: &Query, witnesses: &[Database]) -> Option<Vec<Relation>> {
+    let mut p = Prepared::new(q);
+    witnesses
+        .iter()
+        .map(|db| p.execute(db).ok().map(|(r, _)| r))
+        .collect()
+}
+
+/// The verdict of `q2` against a first query's `results` on the same
+/// witnesses (`None`: a run of the first query failed). A verdict is
+/// `Failed` if any run fails, else `Differed` if any witness differs, so
+/// it does not depend on the order the runs go in.
+fn verdict_against(results: Option<&[Relation]>, q2: &Query, witnesses: &[Database]) -> Verdict {
+    let Some(results) = results else {
+        return Verdict::Failed;
+    };
+    let mut p2 = Prepared::new(q2);
     let mut any = false;
-    for db in witnesses {
-        let r1 = match p1.execute(db) {
-            Ok((r, _)) => r,
+    for (r1, db) in results.iter().zip(witnesses) {
+        match p2.execute(db) {
+            Ok((r2, _)) => any |= !r1.result_equal(&r2),
             Err(_) => return Verdict::Failed,
-        };
-        let r2 = match p2.execute(db) {
-            Ok((r, _)) => r,
-            Err(_) => return Verdict::Failed,
-        };
-        if !r1.result_equal(&r2) {
-            any = true;
         }
     }
     if any {
@@ -1110,15 +1124,29 @@ fn make_pair(
     // let them through — gate on a clean binder analysis instead.
     let analyzes_clean =
         |q: &Query| squ_schema::analyze(&Statement::Query(q.clone()), &schema).is_empty();
+    // All but one transform return the source unchanged as the pair's
+    // first query (`join_to_nested` forces DISTINCT on it), so the
+    // source's analysis and witness results are computed on the first
+    // attempt that reaches them and shared by every attempt whose first
+    // query equals it.
+    let (source_clean, source_results) = (OnceCell::new(), OnceCell::new());
+    let verifies = |q1: &Query, q2: &Query, want: Verdict| {
+        if *q1 != q {
+            return analyzes_clean(q1)
+                && analyzes_clean(q2)
+                && differential_verdict(q1, q2, &witnesses) == want;
+        }
+        let results = || source_results.get_or_init(|| witness_results(&q, &witnesses));
+        *source_clean.get_or_init(|| analyzes_clean(&q))
+            && analyzes_clean(q2)
+            && verdict_against(results().as_deref(), q2, &witnesses) == want
+    };
     if want_equiv {
         let mut types = EquivType::ALL;
         types.shuffle(rng);
         for ty in types {
             if let Some((q1, q2)) = apply_equiv(&q, ty, rng) {
-                if analyzes_clean(&q1)
-                    && analyzes_clean(&q2)
-                    && differential_verdict(&q1, &q2, &witnesses) == Verdict::AgreedEverywhere
-                {
+                if verifies(&q1, &q2, Verdict::AgreedEverywhere) {
                     return Some(example(wq, &q1, &q2, true, ty.label()));
                 }
             }
@@ -1143,10 +1171,7 @@ fn make_pair(
             };
             for _ in 0..attempts {
                 if let Some((q1, q2)) = apply_non_equiv(&q, ty, rng) {
-                    if analyzes_clean(&q1)
-                        && analyzes_clean(&q2)
-                        && differential_verdict(&q1, &q2, &witnesses) == Verdict::Differed
-                    {
+                    if verifies(&q1, &q2, Verdict::Differed) {
                         non_equiv_counts[i] += 1;
                         return Some(example(wq, &q1, &q2, false, ty.label()));
                     }

@@ -516,17 +516,13 @@ impl<'a> QueryGenerator<'a> {
 
     /// A single extra WHERE predicate on a random column of a chosen table.
     fn gen_predicate(&mut self, chosen: &[Chosen]) -> Expr {
-        let c = chosen
-            .choose(&mut self.rng)
-            .expect("chosen non-empty") // lint:allow: chosen set built non-empty
-            .clone();
+        let c = chosen.choose(&mut self.rng).expect("chosen non-empty"); // lint:allow: chosen set built non-empty
         let table = self.schema.table(&c.table).expect("chosen from schema"); // lint:allow: name came from this schema
         let col = table
             .columns
             .choose(&mut self.rng)
-            .expect("tables have columns") // lint:allow: benchmark tables declare columns
-            .clone();
-        let qualifier = self.qualifier_for(chosen, &c);
+            .expect("tables have columns"); // lint:allow: benchmark tables declare columns
+        let qualifier = self.qualifier_for(chosen, c);
         let col_expr = Expr::column(qualifier.as_deref(), &col.name);
         match col.ty {
             SqlType::Int | SqlType::Float => {
@@ -642,15 +638,14 @@ impl<'a> QueryGenerator<'a> {
                 )
             }
         };
-        let outer = chosen[ci].clone();
         let (oc, inner_table, ic) = if flipped {
             (e.c2, e.t1, e.c1)
         } else {
             (e.c1, e.t2, e.c2)
         };
-        let outer_q = self.qualifier_for(chosen, &outer);
+        let outer_q = self.qualifier_for(chosen, &chosen[ci]);
         // inner select: one predicate, no alias
-        let inner_tbl = self.schema.table(&inner_table)?.clone();
+        let inner_tbl = self.schema.table(&inner_table)?;
         let inner_chosen = vec![Chosen {
             table: inner_tbl.name.clone(),
             alias: None,
@@ -687,21 +682,17 @@ impl<'a> QueryGenerator<'a> {
         let (lo, hi) = self.profile.proj_cols_range;
         let n = self.rng.gen_range(lo..=hi);
         let mut items = Vec::new();
-        let mut used: Vec<(String, String)> = Vec::new();
+        let mut used: Vec<(&str, String)> = Vec::new();
         for _ in 0..n {
-            let c = chosen.choose(&mut self.rng).expect("non-empty").clone(); // lint:allow: drawn from a non-empty set
+            let c = chosen.choose(&mut self.rng).expect("non-empty"); // lint:allow: drawn from a non-empty set
             let table = self.schema.table(&c.table).expect("chosen from schema"); // lint:allow: name came from this schema
-            let col = table
-                .columns
-                .choose(&mut self.rng)
-                .expect("has columns") // lint:allow: benchmark tables declare columns
-                .clone();
-            let key = (c.binding.clone(), col.name.to_ascii_lowercase());
+            let col = table.columns.choose(&mut self.rng).expect("has columns"); // lint:allow: benchmark tables declare columns
+            let key = (c.binding.as_str(), col.name.to_ascii_lowercase());
             if used.contains(&key) {
                 continue;
             }
             used.push(key);
-            let q = self.qualifier_for(chosen, &c);
+            let q = self.qualifier_for(chosen, c);
             let expr = Expr::column(q.as_deref(), &col.name);
             let expr = if self.rng.gen_bool(self.profile.scalar_fn_prob) {
                 self.wrap_scalar_fn(expr, col.ty)
@@ -751,19 +742,15 @@ impl<'a> QueryGenerator<'a> {
         let mut keys: Vec<Expr> = Vec::new();
         let mut used = Vec::new();
         for _ in 0..n_keys {
-            let c = chosen.choose(&mut self.rng).expect("non-empty").clone(); // lint:allow: drawn from a non-empty set
+            let c = chosen.choose(&mut self.rng).expect("non-empty"); // lint:allow: drawn from a non-empty set
             let table = self.schema.table(&c.table).expect("chosen from schema"); // lint:allow: name came from this schema
-            let col = table
-                .columns
-                .choose(&mut self.rng)
-                .expect("has columns") // lint:allow: benchmark tables declare columns
-                .clone();
-            let key = (c.binding.clone(), col.name.to_ascii_lowercase());
+            let col = table.columns.choose(&mut self.rng).expect("has columns"); // lint:allow: benchmark tables declare columns
+            let key = (c.binding.as_str(), col.name.to_ascii_lowercase());
             if used.contains(&key) {
                 continue;
             }
             used.push(key);
-            let q = self.qualifier_for(chosen, &c);
+            let q = self.qualifier_for(chosen, c);
             keys.push(Expr::column(q.as_deref(), &col.name));
         }
         let mut items: Vec<SelectItem> = keys
@@ -832,12 +819,12 @@ impl<'a> QueryGenerator<'a> {
 
     fn pick_numeric_column(&mut self, chosen: &[Chosen]) -> Option<(Option<String>, String)> {
         for _ in 0..8 {
-            let c = chosen.choose(&mut self.rng)?.clone();
+            let c = chosen.choose(&mut self.rng)?;
             let table: &Table = self.schema.table(&c.table)?;
             let col = table.columns.choose(&mut self.rng)?;
             if col.ty.is_numeric() {
                 let name = col.name.clone();
-                let q = self.qualifier_for(chosen, &c);
+                let q = self.qualifier_for(chosen, c);
                 return Some((q, name));
             }
         }

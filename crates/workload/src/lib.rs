@@ -36,6 +36,8 @@ pub use props::{
     uses_aggregate, QueryProps,
 };
 pub use sketch::{exact_quantile, QuantileSketch};
-pub use stream::{mix, synth_profile, QueryStream, StreamCursor, StreamIter, MAX_COLLECT};
+pub use stream::{
+    mix, synth_profile, Candidate, QueryStream, StreamCursor, StreamIter, MAX_COLLECT,
+};
 pub use target::{accepts, AcceptRule, Controller, RoundCounts, RoundPlan, TargetSpec};
 pub use workloads::{base_profile, build, build_all, schema_for, Dataset, Workload, WorkloadQuery};

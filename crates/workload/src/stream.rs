@@ -22,15 +22,23 @@
 //! error, because at that scale callers must consume the stream (or the
 //! sketch-based synthesis summaries) instead of a `Vec`.
 
+use crate::analysis::NUMERIC_PROPS;
 use crate::gen::{GenProfile, QueryGenerator};
-use crate::props::query_props;
+use crate::props::{
+    function_count, join_count, predicate_count, select_column_count, table_count, uses_aggregate,
+    QueryProps,
+};
 use crate::workloads::{base_profile, Dataset, Workload, WorkloadQuery};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use squ_engine::CostModel;
+use squ_lexer::{char_count, word_count};
+use squ_parser::ast::Statement;
 use squ_parser::print_statement;
+use squ_parser::visit::nestedness;
 use squ_schema::{schemas, Schema};
+use std::cell::OnceCell;
 
 /// Hard cap on [`Dataset::from_stream`] collection. Anything larger must
 /// stay streamed: a million-query workload is summarized (histograms,
@@ -166,11 +174,12 @@ impl QueryStream {
 
     /// One item by index (convenience; `iter_from` is cheaper in bulk).
     pub fn get(&self, index: u64) -> WorkloadQuery {
-        let mut it = self.iter_from(StreamCursor {
+        self.iter_from(StreamCursor {
             seed: self.seed,
             index,
-        });
-        it.emit()
+        })
+        .candidate()
+        .into_query()
     }
 }
 
@@ -182,7 +191,7 @@ pub struct StreamIter<'a> {
     index: u64,
 }
 
-impl StreamIter<'_> {
+impl<'a> StreamIter<'a> {
     /// The cursor identifying the next item — hand this to
     /// [`QueryStream::iter_from`] to resume mid-stream.
     pub fn cursor(&self) -> StreamCursor {
@@ -192,32 +201,25 @@ impl StreamIter<'_> {
         }
     }
 
-    /// Emit the item at the current index and advance.
-    fn emit(&mut self) -> WorkloadQuery {
+    /// Generate the item at the current index as a [`Candidate`] and
+    /// advance. Only the statement is built here; whatever else of the
+    /// item a caller reads is derived then.
+    pub fn candidate(&mut self) -> Candidate<'a> {
         let stream = self.stream;
         let i = self.index;
         self.index += 1;
         let si = (mix(stream.seed, i) % self.gens.len() as u64) as usize;
-        let schema = &stream.schemas[si];
         let gen = &mut self.gens[si];
         gen.reseed(mix(stream.seed ^ ITEM_SALT, i));
-        let stmt = gen.generate();
-        let sql = print_statement(&stmt);
-        let props = query_props(&sql, &stmt);
-        // deterministic elapsed time: analytical cost × per-index
-        // log-normal noise (never wall-clock — byte-identity depends on it)
-        let base_ms = self.cost.estimate_ms(&stmt, schema);
-        let ln: f64 =
-            StdRng::seed_from_u64(mix(stream.seed ^ NOISE_SALT, i)).gen_range(-1.0..1.0_f64) * 0.6;
-        let elapsed = (base_ms * ln.exp()).max(0.05);
-        WorkloadQuery {
-            id: format!("synth-{}-{i:07}", short_name(stream.base)),
-            workload: stream.base,
-            schema_name: schema.name.clone(),
-            sql,
-            props,
-            elapsed_ms: Some(elapsed),
-            description: None,
+        Candidate {
+            stream,
+            index: i,
+            schema: &stream.schemas[si],
+            cost: self.cost,
+            stmt: gen.generate(),
+            sql: OnceCell::new(),
+            counts: Default::default(),
+            elapsed_ms: OnceCell::new(),
         }
     }
 }
@@ -226,7 +228,108 @@ impl Iterator for StreamIter<'_> {
     type Item = WorkloadQuery;
 
     fn next(&mut self) -> Option<WorkloadQuery> {
-        Some(self.emit())
+        Some(self.candidate().into_query())
+    }
+}
+
+/// One stream item as generated: its statement, with the text, each
+/// property and the elapsed time derived at most once, on first read.
+/// A caller that decides on a few values (the synthesis controller's
+/// accept/reject) pays for those alone; [`Candidate::into_query`]
+/// finishes the item as the stream yields it.
+pub struct Candidate<'a> {
+    stream: &'a QueryStream,
+    index: u64,
+    schema: &'a Schema,
+    cost: CostModel,
+    stmt: Statement,
+    sql: OnceCell<String>,
+    /// One slot per property of [`NUMERIC_PROPS`], in its order.
+    counts: [OnceCell<usize>; NUMERIC_PROPS.len()],
+    elapsed_ms: OnceCell<f64>,
+}
+
+impl Candidate<'_> {
+    /// Name of the schema the statement runs against.
+    pub fn schema_name(&self) -> &str {
+        &self.schema.name
+    }
+
+    /// The statement's canonical SQL text.
+    pub fn sql(&self) -> &str {
+        self.sql.get_or_init(|| print_statement(&self.stmt))
+    }
+
+    /// Deterministic elapsed time: analytical cost × per-index log-normal
+    /// noise (never wall-clock — byte-identity depends on it).
+    fn elapsed_ms(&self) -> f64 {
+        *self.elapsed_ms.get_or_init(|| {
+            let base_ms = self.cost.estimate_ms(&self.stmt, self.schema);
+            let ln: f64 = StdRng::seed_from_u64(mix(self.stream.seed ^ NOISE_SALT, self.index))
+                .gen_range(-1.0..1.0_f64)
+                * 0.6;
+            (base_ms * ln.exp()).max(0.05)
+        })
+    }
+
+    /// The value of a target axis: the elapsed time for `runtime_ms`,
+    /// otherwise the numeric property of that name. Only `char_count` and
+    /// `word_count` print the statement, and only `runtime_ms` costs it.
+    pub fn value(&self, property: &str) -> f64 {
+        if property == "runtime_ms" {
+            self.elapsed_ms()
+        } else {
+            self.count(property) as f64
+        }
+    }
+
+    /// One numeric property by name (one of [`NUMERIC_PROPS`]).
+    fn count(&self, property: &str) -> usize {
+        let slot = NUMERIC_PROPS
+            .iter()
+            .position(|p| *p == property)
+            .unwrap_or_else(|| panic!("unknown property {property}")); // lint:allow: names come from the fixed property list
+        *self.counts[slot].get_or_init(|| match property {
+            "char_count" => char_count(self.sql()),
+            "word_count" => word_count(self.sql()),
+            "table_count" => table_count(&self.stmt),
+            "join_count" => join_count(&self.stmt),
+            "column_count" => select_column_count(&self.stmt),
+            "function_count" => function_count(&self.stmt),
+            "predicate_count" => predicate_count(&self.stmt),
+            // the one name left that the lookup admits
+            _ => nestedness(&self.stmt),
+        })
+    }
+
+    /// The finished item, exactly as [`StreamIter`] yields it.
+    pub fn into_query(self) -> WorkloadQuery {
+        let props = QueryProps {
+            char_count: self.count("char_count"),
+            word_count: self.count("word_count"),
+            query_type: self.stmt.query_type().to_string(),
+            table_count: self.count("table_count"),
+            join_count: self.count("join_count"),
+            column_count: self.count("column_count"),
+            function_count: self.count("function_count"),
+            predicate_count: self.count("predicate_count"),
+            nestedness: self.count("nestedness"),
+            aggregate: uses_aggregate(&self.stmt),
+        };
+        let elapsed_ms = Some(self.elapsed_ms());
+        let base = self.stream.base;
+        WorkloadQuery {
+            id: format!("synth-{}-{:07}", short_name(base), self.index),
+            workload: base,
+            schema_name: self.schema.name.clone(),
+            sql: self
+                .sql
+                .into_inner()
+                .unwrap_or_else(|| print_statement(&self.stmt)),
+            props,
+            elapsed_ms,
+            description: None,
+        }
     }
 }
 
@@ -295,6 +398,42 @@ mod tests {
         for (i, q) in suffix.iter().enumerate() {
             assert_eq!(q.sql, full[25 + i].sql, "item {}", 25 + i);
             assert_eq!(q.id, full[25 + i].id);
+        }
+    }
+
+    #[test]
+    fn candidates_finished_by_hand_equal_the_items() {
+        use crate::analysis::prop_value;
+        use crate::props::query_props;
+        for base in [
+            Workload::Sdss,
+            Workload::SqlShare,
+            Workload::JoinOrder,
+            Workload::Spider,
+        ] {
+            let s = QueryStream::new(base, 2023);
+            let (mut items, mut candidates) = (s.iter(), s.iter());
+            for _ in 0..1000 {
+                let q = items.next().unwrap();
+                let c = candidates.candidate();
+                // an AST axis and the cost first, as the controller reads
+                // them, then the text and every property
+                let nestedness = c.value("nestedness");
+                let runtime = c.value("runtime_ms");
+                let sql = print_statement(&c.stmt);
+                assert_eq!(c.sql(), sql);
+                let props = query_props(&sql, &c.stmt);
+                assert_eq!(nestedness, props.nestedness as f64);
+                for p in NUMERIC_PROPS {
+                    assert_eq!(c.value(p), prop_value(&props, p), "{p} of {sql}");
+                }
+                let id = format!("synth-{}-{:07}", short_name(base), c.index);
+                assert_eq!(q.id, id);
+                assert_eq!(q.schema_name, c.schema_name());
+                assert_eq!(q.sql, sql, "{id}");
+                assert_eq!(q.props, props, "{id}");
+                assert_eq!(q.elapsed_ms, Some(runtime), "{id}");
+            }
         }
     }
 

@@ -28,7 +28,6 @@
 use crate::analysis::{default_edges, NUMERIC_PROPS};
 use crate::gen::GenProfile;
 use crate::stream::mix;
-use crate::workloads::WorkloadQuery;
 use serde::{Deserialize, Serialize};
 use squ_engine::RUNTIME_BUCKET_EDGES_MS;
 
@@ -173,16 +172,6 @@ impl TargetSpec {
             }
         }
         Ok(())
-    }
-}
-
-/// The value of a target axis for one query: `elapsed_ms` for
-/// `runtime_ms`, otherwise the numeric property.
-pub fn axis_value(q: &WorkloadQuery, property: &str) -> f64 {
-    if property == "runtime_ms" {
-        q.elapsed_ms.unwrap_or(0.0)
-    } else {
-        crate::analysis::prop_value(&q.props, property)
     }
 }
 

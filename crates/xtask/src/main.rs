@@ -9,8 +9,9 @@
 //! `target/repro/`, which must be byte-identical after each of its runs.
 //! The table covers the label audit, the fuzz oracles at `--jobs 1` and
 //! `--jobs 8`, each concrete dialect's corpus at `--jobs 2` and
-//! `--jobs 1`, and synthesis on 1 shard × 1 job and 3 shards × 2 jobs
-//! with its sketch check and peak-RSS guard. The serve driver runs last:
+//! `--jobs 1`, and synthesis on 1 shard × 1 job and 3 shards × 2 jobs,
+//! untargeted with its sketch check and peak-RSS guard, and steered toward
+//! the committed `synth_target.json`. Last, [`serve_smoke`] checks
 //! a live server's cold/warm /eval byte equality, a fault-injected soak,
 //! a torn-entry scan and a zero-permit 429. Every kept output lands in
 //! `target/repro/smoke/` for CI's artifact upload.
@@ -273,6 +274,17 @@ const SMOKES: &[Smoke] = &[
         ],
         output: Some("synth.json"),
         then: Some(synth_guards),
+    },
+    // the steering path: one AST axis, decided on the statement alone, and
+    // the cost model's runtime axis, which costs every candidate
+    Smoke {
+        name: "synth-target",
+        runs: &[
+            "--synth 5000 --target crates/xtask/synth_target.json --shards 1 --jobs 1",
+            "--synth 5000 --target crates/xtask/synth_target.json --shards 3 --jobs 2",
+        ],
+        output: Some("synth.json"),
+        then: None,
     },
 ];
 
