@@ -41,7 +41,7 @@
 use crate::suite::TaskSet;
 use crate::{par, Suite};
 use serde::{Deserialize, Serialize};
-use squ_tasks::AuditCtx;
+use squ_tasks::{AuditCtx, LintReports};
 use squ_workload::{Dataset, Workload};
 use std::collections::BTreeMap;
 
@@ -74,6 +74,20 @@ impl AuditReport {
         self.violations.is_empty()
     }
 
+    /// Fold one audited section into the report. [`audit_suite`] folds
+    /// its sections in a fixed order, which fixes the violations' order.
+    pub fn absorb(&mut self, section: AuditCtx<'_>) {
+        self.checked += section.checked;
+        for (code, n) in section.hits {
+            *self.rule_hits.entry(code).or_insert(0) += n;
+        }
+        self.certs.absorb(&section.certs);
+        for (set, n) in section.reference_skips {
+            *self.reference_skips.entry(set).or_insert(0) += n;
+        }
+        self.violations.extend(section.violations);
+    }
+
     /// Stable pretty-printed JSON for `target/repro/audit.json`.
     ///
     /// # Panics
@@ -83,70 +97,62 @@ impl AuditReport {
     }
 }
 
-/// One unit of audit work: a sampled workload, or one `(task, workload)`
-/// set checked through [`squ_tasks::Task::audit`]. The enum lets
-/// heterogeneous checks share the deterministic worker pool, mirroring
-/// suite construction.
-enum AuditJob<'a> {
-    Workload(&'a Dataset),
-    Set(&'a TaskSet),
-}
-
 /// Audit every artifact of `suite` on up to `jobs` worker threads.
 ///
-/// The result is byte-identical for every job count: each job accumulates
-/// its own section and sections are merged in the fixed job-list order —
-/// the four workloads, then every task set in canonical registry order.
+/// The four workload sections run first and keep each query's lint
+/// report; then every task set runs with its workload's reports, which
+/// cover the sampled queries its examples repeat (perf and explain
+/// examples, syntax and token negatives, equivalence sides and the
+/// canonical re-print of each translation source). The result is
+/// byte-identical for every job count: each job accumulates its own
+/// section and sections are merged in a fixed order — the four workloads,
+/// then every task set in canonical registry order.
 pub fn audit_suite(suite: &Suite, jobs: usize) -> AuditReport {
-    let mut job_list: Vec<AuditJob<'_>> = Vec::new();
-    for w in [
+    const WORKLOADS: [Workload; 4] = [
         Workload::Sdss,
         Workload::SqlShare,
         Workload::JoinOrder,
         Workload::Spider,
-    ] {
-        job_list.push(AuditJob::Workload(suite.dataset(w)));
-    }
-    for set in suite.sets() {
-        job_list.push(AuditJob::Set(set));
-    }
-
-    let sections = par::map(jobs, job_list, |job| match job {
-        AuditJob::Workload(ds) => audit_workload(ds),
-        AuditJob::Set(set) => {
-            let mut ctx = AuditCtx::new(set.workload());
-            set.task().audit(set.workload(), set.examples(), &mut ctx);
-            ctx
-        }
+    ];
+    let (workload_sections, kept): (Vec<AuditCtx>, Vec<LintReports>) =
+        par::map(jobs, WORKLOADS.to_vec(), |w| {
+            audit_workload(suite.dataset(w))
+        })
+        .into_iter()
+        .unzip();
+    let set_sections = par::map(jobs, suite.sets().collect(), |set: &TaskSet| {
+        let mut ctx = match WORKLOADS.iter().position(|w| *w == set.workload()) {
+            Some(i) => AuditCtx::with_reports(set.workload(), &kept[i]),
+            None => AuditCtx::new(set.workload()),
+        };
+        set.task().audit(set.workload(), set.examples(), &mut ctx);
+        ctx
     });
 
     let mut report = AuditReport {
         seed: suite.seed,
         ..AuditReport::default()
     };
-    for s in sections {
-        report.checked += s.checked;
-        for (code, n) in s.hits {
-            *report.rule_hits.entry(code).or_insert(0) += n;
-        }
-        report.certs.absorb(&s.certs);
-        for (set, n) in s.reference_skips {
-            *report.reference_skips.entry(set).or_insert(0) += n;
-        }
-        report.violations.extend(s.violations);
+    for s in workload_sections.into_iter().chain(set_sections) {
+        report.absorb(s);
     }
     report
 }
 
-/// Sampled workload queries must all lint clean.
-fn audit_workload(ds: &Dataset) -> AuditCtx {
+/// Sampled workload queries must all lint clean. Returns the section and
+/// every query's report, by schema name and SQL text.
+fn audit_workload(ds: &Dataset) -> (AuditCtx<'static>, LintReports) {
     let mut ctx = AuditCtx::new(ds.workload);
+    let mut kept = LintReports::new();
     let name = format!("workload/{}", ds.workload.name());
     for wq in &ds.queries {
-        let report = ctx.lint(&wq.sql, &wq.schema_name);
+        let report = ctx.lint(&wq.sql, &wq.schema_name).into_owned();
         ctx.require_clean(&name, &wq.id, &report, &wq.sql);
+        kept.entry(wq.schema_name.clone())
+            .or_default()
+            .insert(wq.sql.clone(), report);
     }
-    ctx
+    (ctx, kept)
 }
 
 #[cfg(test)]

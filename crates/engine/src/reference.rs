@@ -28,6 +28,7 @@ use crate::exec::{cast_value, scalar_function, ExecError};
 use crate::{like_match, Database, Relation, Value};
 use squ_parser::ast::*;
 use squ_parser::CompareOp;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Execute a statement on the reference interpreter. `CREATE TABLE … AS` /
@@ -63,10 +64,27 @@ struct RCol {
     name: String,
 }
 
-/// An intermediate relation with qualified columns.
-struct Rows {
+/// An intermediate relation with qualified columns. A base table's rows
+/// are borrowed from the database; every other relation owns its rows.
+struct Rows<'d> {
     cols: Vec<RCol>,
-    rows: Vec<Vec<Value>>,
+    rows: Cow<'d, [Vec<Value>]>,
+}
+
+impl<'d> Rows<'d> {
+    /// `rows` under `columns`, each bound to `binding`.
+    fn bound(binding: &str, columns: &[String], rows: Cow<'d, [Vec<Value>]>) -> Self {
+        Rows {
+            cols: columns
+                .iter()
+                .map(|c| RCol {
+                    binding: Some(binding.to_string()),
+                    name: c.clone(),
+                })
+                .collect(),
+            rows,
+        }
+    }
 }
 
 /// A correlation frame visible to subqueries.
@@ -187,14 +205,15 @@ impl<'a> Rx<'a> {
             cols: &it.cols,
             row: &[],
         }));
-        let mut working = Rows {
+        let mut rows = Vec::new();
+        self.walk(0, &items, &placed, &mut scopes, &mut rows)?;
+        let working = Rows {
             cols: items
                 .iter()
                 .flat_map(|it| it.cols.iter().cloned())
                 .collect(),
-            rows: Vec::new(),
+            rows: Cow::Owned(rows),
         };
-        self.walk(0, &items, &placed, &mut scopes, &mut working.rows)?;
 
         let grouped = !s.group_by.is_empty()
             || s.items
@@ -242,7 +261,7 @@ impl<'a> Rx<'a> {
     fn walk<'s>(
         &mut self,
         depth: usize,
-        items: &'s [Rows],
+        items: &'s [Rows<'_>],
         placed: &[Vec<&Expr>],
         scopes: &mut [Scope<'s>],
         out: &mut Vec<Vec<Value>>,
@@ -255,7 +274,7 @@ impl<'a> Rx<'a> {
         match items.get(depth) {
             Some(item) => {
                 let frame = scopes.len() - 1 - depth;
-                for row in &item.rows {
+                for row in item.rows.iter() {
                     scopes[frame].row = row;
                     self.walk(depth + 1, items, placed, scopes, out)?;
                 }
@@ -274,11 +293,11 @@ impl<'a> Rx<'a> {
         s: &Select,
         order_by: &[OrderItem],
         env: &[Scope],
-        working: &Rows,
+        working: &Rows<'_>,
     ) -> Result<(Vec<String>, Vec<(Vec<Value>, Vec<Value>)>), ExecError> {
         let names = output_names(s, &working.cols);
         let mut out = Vec::with_capacity(working.rows.len());
-        for row in &working.rows {
+        for row in working.rows.iter() {
             let mut scopes = rescope(env);
             scopes.push(Scope {
                 cols: &working.cols,
@@ -319,7 +338,7 @@ impl<'a> Rx<'a> {
         s: &Select,
         order_by: &[OrderItem],
         env: &[Scope],
-        working: &Rows,
+        working: &Rows<'_>,
     ) -> Result<(Vec<String>, Vec<(Vec<Value>, Vec<Value>)>), ExecError> {
         // Group rows by the GROUP BY key vector, first-seen order.
         let mut groups: Vec<(Vec<Value>, Vec<usize>)> = Vec::new();
@@ -382,44 +401,23 @@ impl<'a> Rx<'a> {
         Ok((names, out))
     }
 
-    fn table_ref(&mut self, tr: &TableRef, env: &[Scope]) -> Result<Rows, ExecError> {
+    fn table_ref(&mut self, tr: &TableRef, env: &[Scope]) -> Result<Rows<'a>, ExecError> {
         match tr {
             TableRef::Named { name, alias } => {
-                let rel = if let Some(r) = self.lookup_cte(name) {
-                    r.clone()
-                } else {
-                    self.db
-                        .table(name)
-                        .ok_or_else(|| ExecError::UnknownTable(name.clone()))?
-                        .clone()
-                };
-                let binding = alias.clone().unwrap_or_else(|| name.clone());
-                Ok(Rows {
-                    cols: rel
-                        .columns
-                        .iter()
-                        .map(|c| RCol {
-                            binding: Some(binding.clone()),
-                            name: c.clone(),
-                        })
-                        .collect(),
-                    rows: rel.rows,
-                })
+                let binding = alias.as_ref().unwrap_or(name);
+                if let Some(r) = self.lookup_cte(name) {
+                    return Ok(Rows::bound(binding, &r.columns, Cow::Owned(r.rows.clone())));
+                }
+                let t = self
+                    .db
+                    .table(name)
+                    .ok_or_else(|| ExecError::UnknownTable(name.clone()))?;
+                Ok(Rows::bound(binding, &t.columns, Cow::Borrowed(&t.rows)))
             }
             TableRef::Derived { query, alias } => {
                 let rel = self.query(query, env)?;
-                let binding = alias.clone().unwrap_or_default();
-                Ok(Rows {
-                    cols: rel
-                        .columns
-                        .iter()
-                        .map(|c| RCol {
-                            binding: Some(binding.clone()),
-                            name: c.clone(),
-                        })
-                        .collect(),
-                    rows: rel.rows,
-                })
+                let binding = alias.as_deref().unwrap_or_default();
+                Ok(Rows::bound(binding, &rel.columns, Cow::Owned(rel.rows)))
             }
             TableRef::Join {
                 left,
@@ -437,12 +435,12 @@ impl<'a> Rx<'a> {
     /// The only join algorithm the reference engine has.
     fn nested_loop_join(
         &mut self,
-        l: Rows,
-        r: Rows,
+        l: Rows<'_>,
+        r: Rows<'_>,
         kind: JoinKind,
         constraint: &JoinConstraint,
         env: &[Scope],
-    ) -> Result<Rows, ExecError> {
+    ) -> Result<Rows<'a>, ExecError> {
         if l.rows.len().saturating_mul(r.rows.len()) > MAX_ROWS {
             return Err(ExecError::ResourceLimit);
         }
@@ -482,7 +480,7 @@ impl<'a> Rx<'a> {
         });
         let mut rows = Vec::new();
         let mut right_matched = vec![false; r.rows.len()];
-        for lrow in &l.rows {
+        for lrow in l.rows.iter() {
             scopes[right + 1].row = lrow;
             let mut matched = false;
             for (ri, rrow) in r.rows.iter().enumerate() {
@@ -520,7 +518,10 @@ impl<'a> Rx<'a> {
                 }
             }
         }
-        Ok(Rows { cols, rows })
+        Ok(Rows {
+            cols,
+            rows: Cow::Owned(rows),
+        })
     }
 
     // ----- expressions -----
@@ -904,7 +905,7 @@ fn conjuncts(e: &Expr) -> Vec<&Expr> {
 /// a column that binds nowhere, or a node other than a column, literal,
 /// comparison, `AND`, `OR`, `NOT`, `IS NULL`, `BETWEEN`, `IN` list or
 /// `LIKE`.
-fn depth(e: &Expr, items: &[Rows], env: &[Scope]) -> Option<usize> {
+fn depth(e: &Expr, items: &[Rows<'_>], env: &[Scope]) -> Option<usize> {
     let d = |e: &Expr| depth(e, items, env);
     match e {
         Expr::Column(c) => match items

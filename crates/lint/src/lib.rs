@@ -51,7 +51,7 @@ impl LintDiagnostic {
 }
 
 /// Everything one [`lint`] pass produced.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LintReport {
     /// All findings, in pipeline order (lex, parse, then binder).
     pub diagnostics: Vec<LintDiagnostic>,
@@ -83,10 +83,9 @@ impl LintReport {
 pub fn lint(sql: &str, schema: &Schema) -> LintReport {
     let mut report = LintReport::default();
 
-    // Lex first so parse errors can be located via token spans.
-    let tokens = match tokenize(sql) {
-        Ok(t) => t,
-        Err(e) => {
+    let stmt = match parse(sql) {
+        Ok(s) => s,
+        Err(ParseError::Lex(e)) => {
             let at = e.offset().min(sql.len());
             report.diagnostics.push(LintDiagnostic {
                 code: "SQU001",
@@ -96,23 +95,23 @@ pub fn lint(sql: &str, schema: &Schema) -> LintReport {
             });
             return report;
         }
-    };
-
-    let stmt = match parse(sql) {
-        Ok(s) => s,
         Err(e) => {
-            // locate the failure at the reported word's first token, or at
-            // end of input for EOF errors
-            let span = e
-                .word_index()
-                .and_then(|wi| tokens.iter().find(|t| t.word_index == wi).map(|t| t.span));
+            // The text lexed, so its tokens place the failure: at the
+            // reported word's first token, or at end of input for EOF
+            // errors.
+            let span = e.word_index().and_then(|wi| {
+                tokenize(sql)
+                    .ok()?
+                    .into_iter()
+                    .find(|t| t.word_index == wi)
+                    .map(|t| t.span)
+            });
             let span = span.or_else(|| {
                 matches!(e, ParseError::UnexpectedEof { .. })
                     .then(|| Span::new(sql.len(), sql.len()))
             });
             report.diagnostics.push(LintDiagnostic {
                 code: match e {
-                    ParseError::Lex(_) => "SQU001",
                     ParseError::TooDeep { .. } => "SQU003",
                     _ => "SQU002",
                 },

@@ -128,12 +128,18 @@ impl Parser {
         self.tokens.get(self.pos + n)
     }
 
+    /// Consume the current token. Its text moves out, since nothing reads
+    /// a consumed token's text again (`unexpected` reads the current one,
+    /// `prev_span` only spans).
     fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let t = self.tokens.get_mut(self.pos)?;
+        self.pos += 1;
+        Some(Token {
+            kind: t.kind.clone(),
+            text: std::mem::take(&mut t.text),
+            span: t.span,
+            word_index: t.word_index,
+        })
     }
 
     fn at_kw(&self, kw: Keyword) -> bool {

@@ -166,20 +166,37 @@ impl Polarity {
 /// branch `[]` is trivially satisfiable; the empty DNF is unsatisfiable.
 pub type Dnf = Vec<Vec<Atom>>;
 
-fn cross(a: Dnf, b: Dnf) -> Dnf {
-    let mut out = Vec::new();
-    for x in &a {
-        for y in &b {
-            if out.len() >= MAX_BRANCHES {
-                // overflow: collapse to "anything goes" (conservative)
-                return vec![vec![overflow_atom()]];
-            }
-            let mut branch = x.clone();
-            branch.extend(y.iter().cloned());
-            out.push(branch);
-        }
+/// Every `x ∧ y` for `x` in `a` and `y` in `b`, `x`-major. Each branch is
+/// cloned for all but its last use, which moves it.
+fn cross(mut a: Dnf, b: Dnf) -> Dnf {
+    if a.len().saturating_mul(b.len()) > MAX_BRANCHES {
+        // overflow: collapse to "anything goes" (conservative)
+        return vec![vec![overflow_atom()]];
+    }
+    let mut out = Vec::with_capacity(a.len() * b.len());
+    let last = a.pop();
+    for x in a {
+        conjoin_each(&mut out, x, b.iter().cloned());
+    }
+    if let Some(x) = last {
+        conjoin_each(&mut out, x, b.into_iter());
     }
     out
+}
+
+/// Push `x ∧ y` for each `y` in order, moving `x` into the last one.
+fn conjoin_each(out: &mut Dnf, mut x: Vec<Atom>, ys: impl ExactSizeIterator<Item = Vec<Atom>>) {
+    let mut left = ys.len();
+    for y in ys {
+        left -= 1;
+        let mut branch = if left == 0 {
+            std::mem::take(&mut x)
+        } else {
+            x.clone()
+        };
+        branch.extend(y);
+        out.push(branch);
+    }
 }
 
 fn union(mut a: Dnf, b: Dnf) -> Dnf {
@@ -1029,6 +1046,34 @@ mod tests {
             &where_of(&format!("SELECT x FROM t WHERE {pred}")),
             &Assumptions::none(),
         )
+    }
+
+    /// A DNF of `n` one-atom branches, `IS NULL` on `{tag}0`, `{tag}1`, ….
+    fn branches(tag: &str, n: usize) -> Dnf {
+        (0..n)
+            .map(|i| vec![Atom::IsNull((None, format!("{tag}{i}")))])
+            .collect()
+    }
+
+    #[test]
+    fn cross_keeps_branch_order_and_overflows_past_the_cap() {
+        let (a, b) = (branches("a", 3), branches("b", 2));
+        let mut want = Vec::new();
+        for x in &a {
+            for y in &b {
+                want.push([x.clone(), y.clone()].concat());
+            }
+        }
+        assert_eq!(cross(a, b), want);
+        assert!(cross(Vec::new(), branches("b", 2)).is_empty());
+        assert!(cross(branches("a", 2), Vec::new()).is_empty());
+        // 16 × 16 = MAX_BRANCHES exactly: kept; one more right branch
+        // overflows
+        assert_eq!(cross(branches("a", 16), branches("b", 16)).len(), 256);
+        assert_eq!(
+            cross(branches("a", 16), branches("b", 17)),
+            vec![vec![overflow_atom()]]
+        );
     }
 
     #[test]

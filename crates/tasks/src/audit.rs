@@ -1,6 +1,7 @@
 //! Audit support shared by every [`crate::Task`] implementation: the
 //! violation record, and an accumulating context wrapping the `squ-lint`
-//! analyzer with a memoized schema lookup.
+//! analyzer with a memoized schema lookup and, optionally, the reports of
+//! texts an earlier pass already linted.
 //!
 //! The invariant *checks* live with each task (`Task::audit`); the suite
 //! driver that fans sections over worker threads and merges them lives in
@@ -9,6 +10,7 @@
 use serde::{Deserialize, Serialize};
 use squ_lint::{lint, LintReport};
 use squ_workload::{schema_for, Workload};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 /// One audited invariant that did not hold.
@@ -75,19 +77,26 @@ struct Schemas {
 
 impl Schemas {
     fn get(&mut self, name: &str) -> &squ_schema::Schema {
-        let w = self.workload;
-        self.cache
-            .entry(name.to_string())
-            .or_insert_with(|| schema_for(w, name))
+        if !self.cache.contains_key(name) {
+            let schema = schema_for(self.workload, name);
+            self.cache.insert(name.to_string(), schema);
+        }
+        &self.cache[name]
     }
 }
+
+/// Lint reports kept from an earlier pass, by schema name and then SQL
+/// text.
+pub type LintReports = HashMap<String, HashMap<String, LintReport>>;
 
 /// Per-section audit accumulator: rule-hit counts, checked-artifact count,
 /// reference-interpreter skips, and the violations a task's checks record.
 /// Sections are merged in canonical order, so reports are thread-count
 /// independent.
-pub struct AuditCtx {
+pub struct AuditCtx<'k> {
     schemas: Schemas,
+    /// Reports [`AuditCtx::lint`] reads instead of linting a text again.
+    kept: Option<&'k LintReports>,
     /// Artifacts linted so far.
     pub checked: usize,
     /// How many times each `SQU0xx` rule fired, warnings included.
@@ -102,19 +111,28 @@ pub struct AuditCtx {
     pub reference_skips: BTreeMap<String, usize>,
 }
 
-impl AuditCtx {
+impl<'k> AuditCtx<'k> {
     /// A fresh context auditing artifacts of one workload.
-    pub fn new(workload: Workload) -> AuditCtx {
+    pub fn new(workload: Workload) -> Self {
         AuditCtx {
             schemas: Schemas {
                 workload,
                 cache: HashMap::new(),
             },
+            kept: None,
             checked: 0,
             hits: BTreeMap::new(),
             violations: Vec::new(),
             certs: CertStats::default(),
             reference_skips: BTreeMap::new(),
+        }
+    }
+
+    /// A fresh context that reads `kept` before linting a text itself.
+    pub fn with_reports(workload: Workload, kept: &'k LintReports) -> Self {
+        AuditCtx {
+            kept: Some(kept),
+            ..AuditCtx::new(workload)
         }
     }
 
@@ -124,11 +142,22 @@ impl AuditCtx {
     }
 
     /// Lint `sql` against the named schema and count rule hits; returns the
-    /// report for the caller's invariant checks.
-    pub fn lint(&mut self, sql: &str, schema_name: &str) -> LintReport {
-        let report = lint(sql, self.schemas.get(schema_name));
+    /// report for the caller's invariant checks. A kept report of the same
+    /// text against the same schema is returned instead of a fresh lint,
+    /// which would equal it (lint is a pure function of the two), and
+    /// counts the same.
+    pub fn lint(&mut self, sql: &str, schema_name: &str) -> Cow<'k, LintReport> {
+        let report = match self.kept.and_then(|k| k.get(schema_name)?.get(sql)) {
+            Some(kept) => Cow::Borrowed(kept),
+            None => Cow::Owned(lint(sql, self.schemas.get(schema_name))),
+        };
         for d in &report.diagnostics {
-            *self.hits.entry(d.code.to_string()).or_insert(0) += 1;
+            match self.hits.get_mut(d.code) {
+                Some(n) => *n += 1,
+                None => {
+                    self.hits.insert(d.code.to_string(), 1);
+                }
+            }
         }
         self.checked += 1;
         report
@@ -198,6 +227,42 @@ mod tests {
         ctx.lint("SELECT plate FROM SpecObj", "sdss");
         assert_eq!(ctx.checked, 2);
         assert_eq!(ctx.hits.get("SQU011"), Some(&1));
+    }
+
+    #[test]
+    fn kept_report_equals_a_fresh_lint_and_counts_the_same() {
+        let texts = [
+            "SELECT nosuch FROM SpecObj",
+            "SELECT * FROM SpecObj, PhotoObj",
+            "SELECT plate FROM SpecObj WHERE plate > 5 AND plate < 3",
+            "SELECT plate FROM",
+        ];
+        let mut kept = LintReports::new();
+        let mut first = AuditCtx::new(Workload::Sdss);
+        for sql in texts {
+            let report = first.lint(sql, "sdss").into_owned();
+            kept.entry("sdss".into())
+                .or_default()
+                .insert(sql.into(), report);
+        }
+        let mut fresh = AuditCtx::new(Workload::Sdss);
+        let mut reused = AuditCtx::with_reports(Workload::Sdss, &kept);
+        for sql in texts {
+            let (a, b) = (fresh.lint(sql, "sdss"), reused.lint(sql, "sdss"));
+            assert!(matches!(a, Cow::Owned(_)) && matches!(b, Cow::Borrowed(_)));
+            assert_eq!(a, b, "{sql}");
+        }
+        assert_eq!(reused.checked, fresh.checked);
+        assert_eq!(reused.hits, fresh.hits);
+        assert!(["SQU011", "SQU002", "SQU100", "SQU101", "SQU110"]
+            .iter()
+            .all(|code| reused.hits.contains_key(*code)));
+        // a text, or a schema, not kept is linted afresh
+        assert!(matches!(
+            reused.lint("SELECT plate FROM SpecObj", "sdss"),
+            Cow::Owned(_)
+        ));
+        assert!(matches!(reused.lint(texts[0], "other"), Cow::Owned(_)));
     }
 
     #[test]

@@ -1043,9 +1043,20 @@ pub enum Verdict {
 
 /// Execute both queries on every witness and compare results. Each query
 /// is held as one [`Prepared`] across the batch, so its WHEREs are proved
-/// empty or not once rather than once per witness.
+/// empty or not once rather than once per witness. When the two ASTs are
+/// equal, the engine being deterministic, the second query's run would
+/// repeat the first's exactly, so each result is compared with itself
+/// instead (a result holding a NaN still differs).
 pub fn differential_verdict(q1: &Query, q2: &Query, witnesses: &[Database]) -> Verdict {
-    verdict_against(witness_results(q1, witnesses).as_deref(), q2, witnesses)
+    let results = witness_results(q1, witnesses);
+    if q1 != q2 {
+        return verdict_against(results.as_deref(), q2, witnesses);
+    }
+    match results {
+        None => Verdict::Failed,
+        Some(rs) if rs.iter().all(|r| r.result_equal(r)) => Verdict::AgreedEverywhere,
+        Some(_) => Verdict::Differed,
+    }
 }
 
 /// A query's result on every witness, or `None` if a run fails.
@@ -1232,6 +1243,30 @@ mod tests {
             print_query(&q2)
         );
         (print_query(&q1), print_query(&q2))
+    }
+
+    /// `differential_verdict(q, q, w)` runs `q` once, and its verdict is
+    /// the one two runs give, one `Prepared` per side.
+    #[test]
+    fn identical_queries_get_the_two_run_verdict() {
+        let witnesses = witness_batch(&sdss(), 77);
+        for (sql, want) in [
+            (
+                "SELECT plate, z FROM SpecObj WHERE z > 0.5",
+                Verdict::AgreedEverywhere,
+            ),
+            ("SELECT plate FROM NoSuchTable", Verdict::Failed),
+            (
+                "SELECT plate FROM SpecObj WHERE plate > 5 AND plate < 3",
+                Verdict::AgreedEverywhere,
+            ),
+        ] {
+            let q = parse_query(sql).unwrap();
+            let two_runs =
+                verdict_against(witness_results(&q, &witnesses).as_deref(), &q, &witnesses);
+            assert_eq!(two_runs, want, "{sql}");
+            assert_eq!(differential_verdict(&q, &q, &witnesses), two_runs, "{sql}");
+        }
     }
 
     #[test]

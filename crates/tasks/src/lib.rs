@@ -38,7 +38,7 @@ pub use token::{build_token_dataset, delete_token, TokenExample, TokenType};
 pub use transforms::{transform_catalog, TransformFn, TransformInfo, TransformKind};
 pub use translate::{build_translate_dataset, dialect_pairs, translate_query, TranslateExample};
 
-pub use audit::{AuditCtx, CertStats, Violation};
+pub use audit::{AuditCtx, CertStats, LintReports, Violation};
 pub use task::{
     EquivTask, ExplainTask, GroundTruth, PerfTask, SyntaxTask, Task, TaskId, TokenTask,
     TranslateTask,

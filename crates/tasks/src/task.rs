@@ -737,11 +737,18 @@ impl Task for TranslateTask {
                 let schema = ctx.schema(&ex.schema_name);
                 witness_batch_cached(schema, 0xBEE5 ^ seed_of(&ex.schema_name))
             };
+            // A gold that parses to its source's AST returns exactly the
+            // source's result or error on every witness (both engines are
+            // deterministic), so it is not run again: the source's result
+            // stands in for it.
+            let same = q_src == q_gold;
             let (mut p_src, mut p_gold) = (Prepared::new(&q_src), Prepared::new(&q_gold));
             for (i, db) in witnesses.iter().enumerate() {
-                match (p_src.execute(db), p_gold.execute(db)) {
-                    (Ok((r1, _)), Ok((r2, _))) => {
-                        if !r1.result_equal(&r2) {
+                let src = p_src.execute(db).map(|(r, _)| r);
+                let gold = (!same).then(|| p_gold.execute(db).map(|(r, _)| r));
+                match (&src, gold.as_ref().unwrap_or(&src)) {
+                    (Ok(r1), Ok(r2)) => {
+                        if !r1.result_equal(r2) {
                             ctx.violation(
                                 &name,
                                 &ex.query_id,
@@ -763,9 +770,11 @@ impl Task for TranslateTask {
                 // The reference interpreter caps the FROM product by size
                 // before filtering it, so it fails on products the
                 // compiled engine filters first; its errors are skips.
-                match (reference_query(&q_src, db), reference_query(&q_gold, db)) {
+                let src = reference_query(&q_src, db);
+                let gold = (!same).then(|| reference_query(&q_gold, db));
+                match (&src, gold.as_ref().unwrap_or(&src)) {
                     (Ok(r1), Ok(r2)) => {
-                        if !r1.result_equal(&r2) {
+                        if !r1.result_equal(r2) {
                             ctx.violation(
                                 &name,
                                 &ex.query_id,
@@ -816,6 +825,82 @@ mod tests {
         order.sort_by_key(|t| t.schedule_class());
         assert_eq!(order[0], TaskId::Equiv);
         assert_eq!(order[1], TaskId::Translate);
+    }
+
+    /// Audit one SDSS translation, `source` in sqlite and `gold` in
+    /// postgres, on the witnesses the audit uses for SDSS.
+    fn audit_translation(
+        source: &str,
+        gold: &str,
+    ) -> (AuditCtx<'static>, Vec<squ_engine::Database>) {
+        let q = squ_parser::parse_query(source).unwrap();
+        let ex = TranslateExample {
+            query_id: "sdss-t".into(),
+            schema_name: "sdss".into(),
+            source_dialect: "sqlite".into(),
+            target_dialect: "postgres".into(),
+            source_sql: source.into(),
+            gold_sql: gold.into(),
+            props: squ_workload::query_props(source, &squ_parser::Statement::Query(q)),
+        };
+        let mut ctx = AuditCtx::new(Workload::Sdss);
+        TranslateTask.audit(Workload::Sdss, &[ex], &mut ctx);
+        let schema = squ_workload::schema_for(Workload::Sdss, "sdss");
+        let witnesses = squ_engine::witness_batch(&schema, 0xBEE5 ^ crate::equiv::seed_of("sdss"));
+        (ctx, witnesses)
+    }
+
+    fn violations<'c>(ctx: &'c AuditCtx, invariant: &str) -> Vec<&'c str> {
+        ctx.violations
+            .iter()
+            .filter(|v| v.invariant == invariant)
+            .map(|v| v.detail.as_str())
+            .collect()
+    }
+
+    #[test]
+    fn same_ast_gold_whose_source_fails_is_flagged_on_every_witness() {
+        let sql = "SELECT plate FROM NoSuchTable";
+        let (ctx, witnesses) = audit_translation(sql, sql);
+        let want: Vec<String> = (0..witnesses.len())
+            .map(|i| format!("witness {i}: a side failed to execute"))
+            .collect();
+        assert_eq!(violations(&ctx, "gold-agrees-on-engine"), want);
+        assert_eq!(ctx.reference_skips["translate/SDSS"], witnesses.len());
+    }
+
+    #[test]
+    fn same_ast_gold_past_the_reference_row_cap_counts_its_skips() {
+        let sql = "SELECT a.plate FROM SpecObj a, SpecObj b, SpecObj c, SpecObj d, \
+                   SpecObj e, SpecObj f WHERE a.specobjid = b.specobjid \
+                   AND b.specobjid = c.specobjid AND c.specobjid = d.specobjid \
+                   AND d.specobjid = e.specobjid AND e.specobjid = f.specobjid";
+        let (ctx, witnesses) = audit_translation(sql, sql);
+        let q = squ_parser::parse_query(sql).unwrap();
+        let capped = witnesses
+            .iter()
+            .filter(|db| squ_engine::reference_query(&q, db).is_err())
+            .count();
+        assert!(capped > 0, "no witness reaches the reference row cap");
+        assert_eq!(ctx.reference_skips["translate/SDSS"], capped);
+        assert!(ctx.violations.is_empty(), "{:?}", ctx.violations);
+    }
+
+    #[test]
+    fn gold_with_other_rows_is_caught_on_both_engines() {
+        let (ctx, witnesses) = audit_translation(
+            "SELECT plate FROM SpecObj",
+            "SELECT plate FROM SpecObj WHERE 1 = 0",
+        );
+        let engine: Vec<String> = (0..witnesses.len())
+            .map(|i| format!("witness {i}: source and gold rows differ (sqlite -> postgres)"))
+            .collect();
+        let reference: Vec<String> = (0..witnesses.len())
+            .map(|i| format!("witness {i}: reference interpreter disagrees"))
+            .collect();
+        assert_eq!(violations(&ctx, "gold-agrees-on-engine"), engine);
+        assert_eq!(violations(&ctx, "gold-agrees-on-reference"), reference);
+        assert_eq!(ctx.reference_skips["translate/SDSS"], 0);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! then runs the table [`SMOKES`]. Each entry is a list of `repro` runs
 //! that must all exit 0; an entry may name one output under
 //! `target/repro/`, which must be byte-identical after each of its runs.
-//! The table covers the label audit, the fuzz oracles at `--jobs 1` and
-//! `--jobs 8`, each concrete dialect's corpus at `--jobs 2` and
-//! `--jobs 1`, and synthesis on 1 shard × 1 job and 3 shards × 2 jobs,
+//! The table covers the label audit at `--jobs 1` and `--jobs 2`, the
+//! fuzz oracles at `--jobs 1` and `--jobs 8`, each concrete dialect's
+//! corpus at `--jobs 2` and `--jobs 1`, and synthesis on 1 shard × 1 job
+//! and 3 shards × 2 jobs,
 //! untargeted with its sketch check and peak-RSS guard, and steered toward
 //! the committed `synth_target.json`. Last, [`serve_smoke`] checks
 //! a live server's cold/warm /eval byte equality, a fault-injected soak,
@@ -209,10 +210,11 @@ type Check = fn(&Runner, &Path) -> Result<(), String>;
 const SMOKES: &[Smoke] = &[
     // every ground-truth label re-proved, the static certifier convicting
     // its non-equivalence floor, and the dialect-translate gold
-    // translations verified row for row
+    // translations verified row for row; the report is the same on one
+    // thread as on two
     Smoke {
         name: "audit",
-        runs: &["--audit"],
+        runs: &["--audit --jobs 1", "--audit --jobs 2"],
         output: Some("audit.json"),
         then: None,
     },

@@ -6,24 +6,81 @@
 //! report must be byte-identical whatever the worker-thread count.
 //!
 //! One paper-seed suite and one audit per job count serve every test.
+//! The binary counts each thread's allocations, which gates the cost of
+//! the one-thread audit.
 
 use squ::{audit_suite, AuditReport, Suite, PAPER_SEED};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::OnceLock;
+
+/// The system allocator, counting the calling thread's allocations
+/// (`alloc`, `alloc_zeroed` and `realloc` calls).
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // no-op while the thread's locals are being torn down
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: every call forwards to `System` with its own arguments.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 fn suite() -> &'static Suite {
     static SUITE: OnceLock<Suite> = OnceLock::new();
     SUITE.get_or_init(|| Suite::new(PAPER_SEED))
 }
 
-/// `audit_suite(suite(), jobs)` for `jobs` in 1..=4, each run once.
-fn audit(jobs: usize) -> &'static AuditReport {
-    static AUDITS: [OnceLock<AuditReport>; 4] = [
+/// `audit_suite(suite(), jobs)` for `jobs` in 1..=4, each run once, with
+/// the allocations the calling thread made during the run (all of the
+/// audit's at `jobs` 1, which runs on the calling thread).
+fn audited(jobs: usize) -> &'static (AuditReport, u64) {
+    static AUDITS: [OnceLock<(AuditReport, u64)>; 4] = [
         OnceLock::new(),
         OnceLock::new(),
         OnceLock::new(),
         OnceLock::new(),
     ];
-    AUDITS[jobs - 1].get_or_init(|| audit_suite(suite(), jobs))
+    AUDITS[jobs - 1].get_or_init(|| {
+        let suite = suite();
+        let before = allocations();
+        let report = audit_suite(suite, jobs);
+        (report, allocations() - before)
+    })
+}
+
+fn audit(jobs: usize) -> &'static AuditReport {
+    &audited(jobs).0
 }
 
 #[test]
@@ -148,4 +205,63 @@ fn audit_report_is_jobs_independent_and_round_trips() {
     let back: AuditReport = serde_json::from_str(&a.to_json()).expect("audit report deserializes");
     assert_eq!(back.certs, a.certs);
     assert!(a.to_json().contains("noneq_convicted"), "{}", a.to_json());
+}
+
+/// The audit's allocation budget, a deterministic count of its work. A
+/// one-thread audit of the paper suite made 7,245,731 allocations when
+/// every task set linted again the workload queries it repeats, a gold
+/// translation that parses to its source's AST ran beside the source, and
+/// four hot paths copied (DNF products in `squ-sema`, consumed tokens in
+/// the parser, base tables in the reference interpreter, a second
+/// tokenization in `squ-lint`). It makes 2,922,764 now; the budget is
+/// 9.5% above that.
+const AUDIT_ALLOCATION_BUDGET: u64 = 3_200_000;
+
+#[test]
+fn audit_allocations_stay_within_budget() {
+    let allocations = audited(1).1;
+    assert!(
+        allocations <= AUDIT_ALLOCATION_BUDGET,
+        "a one-thread audit made {allocations} allocations, over the budget of \
+         {AUDIT_ALLOCATION_BUDGET}"
+    );
+}
+
+/// Kept workload reports change nothing: the report equals one merged, in
+/// `audit_suite`'s order, from sections audited with plain contexts that
+/// lint every text themselves.
+#[test]
+fn kept_reports_change_no_byte_of_the_report() {
+    use squ::tasks::AuditCtx;
+    use squ::workload::Workload;
+    use squ::TaskSet;
+    let suite = suite();
+    let mut sections = Vec::new();
+    for w in [
+        Workload::Sdss,
+        Workload::SqlShare,
+        Workload::JoinOrder,
+        Workload::Spider,
+    ] {
+        let mut ctx = AuditCtx::new(w);
+        let name = format!("workload/{}", w.name());
+        for wq in &suite.dataset(w).queries {
+            let report = ctx.lint(&wq.sql, &wq.schema_name);
+            ctx.require_clean(&name, &wq.id, &report, &wq.sql);
+        }
+        sections.push(ctx);
+    }
+    sections.extend(squ::par::map(2, suite.sets().collect(), |set: &TaskSet| {
+        let mut ctx = AuditCtx::new(set.workload());
+        set.task().audit(set.workload(), set.examples(), &mut ctx);
+        ctx
+    }));
+    let mut fresh = AuditReport {
+        seed: suite.seed,
+        ..AuditReport::default()
+    };
+    for section in sections {
+        fresh.absorb(section);
+    }
+    assert_eq!(fresh.to_json(), audit(1).to_json());
 }
