@@ -102,6 +102,34 @@ mod tests {
     }
 
     #[test]
+    fn engine_work_counters_are_pinned_exactly() {
+        // `repro --fuzz 300 --fuzz-seed 7`: every counter is deterministic,
+        // so a change to the work the engine does on this stream moves one
+        let report = run_fuzz(300, 7, 2, None);
+        let want = squ_fuzz::EngineCounters {
+            rows_scanned: 423_062,
+            join_pairs: 1_352_318,
+            batches: 32_627,
+            index_probes: 1_013,
+            index_hits: 1_925,
+            subquery_evals: 3_530,
+            compiled: 19_765,
+            fallbacks: 105,
+            empty_prunes: 130,
+        };
+        assert_eq!(report.engine, want);
+        let c = &report.counts;
+        assert_eq!(
+            (
+                c.differential_pass,
+                c.differential_skip,
+                c.differential_fail
+            ),
+            (19_870, 0, 0)
+        );
+    }
+
+    #[test]
     fn warm_resume_skips_judged_cases_and_reproduces_the_report() {
         let (root, mut store) = temp_store("resume");
         let cold = run_fuzz(8, 5, 2, Some(&mut store));

@@ -75,7 +75,8 @@ pub struct ExecStats {
     pub rows_output: u64,
     /// Subquery (re-)executions, counting correlated re-evaluation.
     pub subquery_evals: u64,
-    /// Operator batches evaluated by the vectorized filter path.
+    /// Filter work in units of 1,024 rows: each filter pass over `n`
+    /// input rows adds `n.div_ceil(1024)`.
     pub batches: u64,
     /// Hash-index equality probes issued.
     pub index_probes: u64,

@@ -17,28 +17,10 @@
 //! agrees with `sql_eq`; for cross-class pairs `Eq` is `false` and
 //! `sql_eq` is `None` — both reject. (`NaN` never equals itself under
 //! either relation, and `-0.0` hashes like `0.0`.)
-//!
-//! The global [`set_indexes_enabled`] switch exists for the
-//! index-correctness test: with indexes disabled, the same compiled plan
-//! degrades to scan-and-filter, and results must be identical.
 
 use crate::Value;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-
-static INDEXES_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Globally enable or disable index probes (they degrade to filtered full
-/// scans when disabled). Used by tests to pin index correctness.
-pub fn set_indexes_enabled(enabled: bool) {
-    INDEXES_ENABLED.store(enabled, Ordering::SeqCst);
-}
-
-/// Are index probes currently enabled?
-pub fn indexes_enabled() -> bool {
-    INDEXES_ENABLED.load(Ordering::SeqCst)
-}
 
 /// Value → ascending row indexes for one `(table, column)`.
 pub(crate) type Postings = Arc<HashMap<Value, Vec<usize>>>;

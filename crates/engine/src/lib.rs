@@ -4,9 +4,9 @@
 //!
 //! * an **executor** ([`execute_query`], or [`Prepared`] to run one query
 //!   on many databases) — queries are lowered by
-//!   [`compile_query`] into a compiled plan of columnar batch operators
-//!   (vectorized filters, hash joins, hash-index probes, a cost-driven join
-//!   order), and anything the compiler does not cover falls back to the
+//!   [`compile_query`] into a compiled plan of physical operators
+//!   (row-at-a-time filters, hash joins, hash-index probes, a cost-driven
+//!   join order), and anything the compiler does not cover falls back to the
 //!   naive reference interpreter ([`reference_query`]), the engine's one
 //!   executable definition of SQL semantics. The compiled engine is
 //!   differentially verified against it, and the executor verifies every
@@ -45,11 +45,10 @@ mod witness;
 
 pub use cost::{runtime_bucket, CostModel, RUNTIME_BUCKET_EDGES_MS};
 pub use exec::{execute, execute_query, like_match, ExecError, ExecStats};
-pub use index::{indexes_enabled, set_indexes_enabled};
 pub use like::LikeMatcher;
 pub use physical::{compile_query, CompiledQuery, Prepared};
 pub use plan::{explain, greedy_join_order, plan_query, Plan};
-pub use reference::{reference_execute, reference_query};
+pub use reference::reference_query;
 pub use table::{Database, Relation};
 pub use value::Value;
 pub use witness::{

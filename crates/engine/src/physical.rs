@@ -1,8 +1,8 @@
-//! Compiled vectorized execution engine.
+//! Compiled execution engine.
 //!
 //! [`compile_query`] lowers a parsed [`Query`] into a [`CompiledQuery`]: a
-//! DAG of columnar batch operators (scan → filter → hash-join → aggregate
-//! → sort/limit) whose predicates are flat postfix [`Program`]s
+//! DAG of physical operators (scan → filter → hash-join → aggregate →
+//! sort/limit) whose predicates are flat postfix [`Program`]s
 //! ([`crate::program`]) with columns resolved to row offsets, constants
 //! folded, and `LIKE` patterns pre-compiled. The [`crate::cost::CostModel`]
 //! drives physical choices at compile time: comma-join order
@@ -16,9 +16,11 @@
 //! (`None`), and [`crate::execute_query`] runs the whole query on the
 //! reference interpreter instead. Compiled programs are *total* — the
 //! compiler only emits operations that cannot error at runtime — which is
-//! what makes eager, batched evaluation value-identical to the reference
+//! what makes eager evaluation value-identical to the reference
 //! interpreter's short-circuiting tree walk (errors are the only
-//! observable effect of evaluation order). The equivalence is additionally
+//! observable effect of evaluation order). Each filter tests one row at a
+//! time: by reference through its [`FastPred`] when the predicate has
+//! one, else by running its program. The equivalence is additionally
 //! pinned by the differential fuzzer (`squ-fuzz`), which runs every
 //! generated query and every transform output on both engines.
 //!
@@ -40,9 +42,8 @@ use crate::exec::{
     aggregate_value, combine_set, equi_join_columns, exprs_equal_modulo_case, is_supported_scalar,
     projection_names, split_conjuncts, ExecError, ExecStats, QCol, MAX_INTERMEDIATE_ROWS,
 };
-use crate::index::indexes_enabled;
 use crate::like::LikeMatcher;
-use crate::program::{EvalCx, POp, Program, SlotVal, BATCH_SIZE};
+use crate::program::{EvalCx, POp, Program, SlotVal};
 use crate::{Database, Relation, Value};
 use squ_parser::ast::*;
 use squ_parser::CompareOp;
@@ -51,6 +52,11 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 
 const EMPTY_ROW: &[Value] = &[];
+
+/// The unit of [`ExecStats::batches`]: a filter pass over `n` input rows
+/// counts `n.div_ceil(BATCH_SIZE)`, a deterministic measure of filter
+/// work.
+const BATCH_SIZE: usize = 1024;
 
 /// A query lowered to the physical operator DAG, ready to execute against
 /// any database with the schema it was compiled for.
@@ -285,8 +291,8 @@ enum Access {
 
 #[derive(Debug, Clone)]
 struct CFilter {
-    /// Canonical-layout predicate, used on the single-unit fast paths
-    /// where the working row IS the canonical row.
+    /// Canonical-layout predicate, run on single-unit and FROM-less
+    /// blocks, where the working row IS the canonical row.
     prog: Program,
     /// Executed step after which the filter can run; None = deferred.
     step: Option<usize>,
@@ -296,9 +302,49 @@ struct CFilter {
     gather: Vec<(u32, u32)>,
     /// `prog` remapped so column `i` reads `gather[i]`.
     gprog: Program,
-    /// Single-comparison fast path, evaluated by reference (no clones,
-    /// no program dispatch). `None` falls back to batched evaluation.
+    /// Predicate-tree fast path, evaluated by reference (no clones, no
+    /// program dispatch). `None` runs the program instead.
     fast: Option<FastPred>,
+}
+
+impl CFilter {
+    /// Test one row of a single-unit or FROM-less block. Every gather
+    /// coordinate then has step 0, and its local column indexes the row.
+    fn keep_row(&self, row: &[Value], cx: &mut EvalCx) -> bool {
+        match &self.fast {
+            Some(fp) => {
+                let at = |c: (u32, u32)| row.get(c.1 as usize).unwrap_or(&NULL_VALUE);
+                fp.eval_tri(&at, cx.slots) == Some(true)
+            }
+            None => self.prog.eval(row, cx).is_truthy(),
+        }
+    }
+
+    /// Test one composed tuple. Without a fast path, `gprog` runs on
+    /// `scratch`, refilled with just the gathered columns.
+    fn keep_tuple(
+        &self,
+        sources: &[SourceRows<'_>],
+        t: &[u32],
+        scratch: &mut Vec<Value>,
+        cx: &mut EvalCx,
+    ) -> bool {
+        match &self.fast {
+            Some(fp) => {
+                let at = |c: (u32, u32)| gather_ref(sources, t, c.0, c.1);
+                fp.eval_tri(&at, cx.slots) == Some(true)
+            }
+            None => {
+                scratch.clear();
+                scratch.extend(
+                    self.gather
+                        .iter()
+                        .map(|&(step, local)| gather_value(sources, t, step, local)),
+                );
+                self.gprog.eval(scratch, cx).is_truthy()
+            }
+        }
+    }
 }
 
 /// One predicate operand, pre-resolved to a gather coordinate or an
@@ -370,8 +416,8 @@ impl FastPred {
     /// Build from a gather-remapped program when every op is a
     /// comparison, NULL test, BETWEEN, constant-pattern LIKE, IN,
     /// subquery-slot test, or boolean combinator. Any other op
-    /// (arithmetic, CASE, dynamic LIKE, aggregates, ...) bails to the
-    /// batched evaluator.
+    /// (arithmetic, CASE, dynamic LIKE, aggregates, ...) leaves the
+    /// filter to [`Program::eval`].
     fn of(gprog: &Program, gather: &[(u32, u32)]) -> Option<FastPred> {
         let mut stack: Vec<FpNode> = Vec::new();
         for op in &gprog.ops {
@@ -538,19 +584,6 @@ impl FastPred {
             FastPred::Or(a, b) => crate::exec::or3(a.eval_tri(at, slots), b.eval_tri(at, slots)),
             FastPred::Not(a) => crate::exec::not3(a.eval_tri(at, slots)),
         }
-    }
-
-    fn eval_tuple(&self, sources: &[SourceRows<'_>], t: &[u32], slots: &[SlotVal]) -> bool {
-        self.eval_tri(&|c: (u32, u32)| gather_ref(sources, t, c.0, c.1), slots) == Some(true)
-    }
-
-    /// Evaluate against a single base row (single-unit plans: every
-    /// gather coordinate has step 0 and `local` indexes the row).
-    fn eval_row(&self, row: &[Value], slots: &[SlotVal]) -> bool {
-        self.eval_tri(
-            &|c: (u32, u32)| row.get(c.1 as usize).unwrap_or(&NULL_VALUE),
-            slots,
-        ) == Some(true)
     }
 }
 
@@ -1719,6 +1752,16 @@ impl<'r> Rows<'r> {
             Rows::Owned(v) => v.get(i).map(|r| r.as_slice()).unwrap_or(EMPTY_ROW),
         }
     }
+
+    /// Keep only the rows `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&[Value]) -> bool) {
+        match self {
+            Rows::Sel { rows, sel } => {
+                sel.retain(|&i| keep(rows.get(i as usize).map_or(EMPTY_ROW, Vec::as_slice)))
+            }
+            Rows::Owned(v) => v.retain(|r| keep(r)),
+        }
+    }
 }
 
 impl PhysQuery {
@@ -1847,42 +1890,20 @@ impl PhysSelect {
             };
             p
         } else {
-            let view: Rows = if n == 1 {
-                if let PhysNode::Scan { src, width } = &self.units[0] {
+            let mut view = match self.units.first() {
+                Some(PhysNode::Scan { src, width }) => {
                     let base = resolve_scan(src, db, frame, *width)?;
-                    let (mut sel, consumed) = self.probe_or_scan(src, db, base, stats);
+                    let (sel, consumed) = self.probe_or_scan(src, db, base, stats);
                     if let Some(fi) = consumed {
                         skip[fi] = true;
                     }
-                    for pass in 0..2 {
-                        for (fi, f) in self.filters.iter().enumerate() {
-                            if skip[fi] || (f.step.is_some() != (pass == 0)) {
-                                continue;
-                            }
-                            if let Some(fp) = &f.fast {
-                                stats.batches += sel.len().div_ceil(BATCH_SIZE) as u64;
-                                sel.retain(|&i| {
-                                    fp.eval_row(
-                                        base.get(i as usize).map_or(EMPTY_ROW, |r| r.as_slice()),
-                                        cx.slots,
-                                    )
-                                });
-                            } else {
-                                filter_sel(&f.prog, base, &mut sel, &mut cx, stats);
-                            }
-                        }
-                    }
                     Rows::Sel { rows: base, sel }
-                } else {
-                    let mut rows = exec_node(&self.units[0], db, frame, stats)?;
-                    self.filter_owned(&mut rows, &mut None, &skip, &mut cx, stats);
-                    Rows::Owned(rows)
                 }
-            } else {
-                let mut rows = vec![Vec::new()];
-                self.filter_owned(&mut rows, &mut None, &skip, &mut cx, stats);
-                Rows::Owned(rows)
+                Some(unit) => Rows::Owned(exec_node(unit, db, frame, stats)?),
+                // a FROM-less block filters its one empty row
+                None => Rows::Owned(vec![Vec::new()]),
             };
+            self.filter_rows(&mut view, &skip, &mut cx, stats);
             match &self.grouping {
                 Some(g) => self.exec_grouped(g, &view, &mut cx),
                 None => self.exec_plain(&view, &mut cx),
@@ -1908,11 +1929,11 @@ impl PhysSelect {
         Ok(Relation::new(self.out_cols.clone(), rows))
     }
 
-    /// Apply all filters (non-deferred first, then deferred) to owned rows.
-    fn filter_owned(
+    /// Apply all unconsumed filters (non-deferred first, then deferred)
+    /// to the rows of a single-unit or FROM-less block.
+    fn filter_rows(
         &self,
-        rows: &mut Vec<Vec<Value>>,
-        tags: &mut Option<Vec<Vec<u32>>>,
+        view: &mut Rows<'_>,
         skip: &[bool],
         cx: &mut EvalCx,
         stats: &mut ExecStats,
@@ -1922,8 +1943,8 @@ impl PhysSelect {
                 if skip[fi] || (f.step.is_some() != (pass == 0)) {
                     continue;
                 }
-                let flags = batch_flags(&f.prog, rows, cx, stats);
-                retain_rows(rows, tags, &flags);
+                stats.batches += view.len().div_ceil(BATCH_SIZE) as u64;
+                view.retain(|row| f.keep_row(row, cx));
             }
         }
     }
@@ -1946,19 +1967,17 @@ impl PhysSelect {
             ScanSrc::Table(name),
         ) = (&self.access, src)
         {
-            if indexes_enabled() {
-                let postings = db.indexes().equality_index(name, *col, base);
-                stats.index_probes += 1;
-                // NULL keys match nothing (postings never hold NULL), which
-                // is exactly the filter's `= NULL → UNKNOWN` behavior
-                let sel: Vec<u32> = postings
-                    .get(key)
-                    .map(|v| v.iter().map(|&i| i as u32).collect())
-                    .unwrap_or_default();
-                stats.index_hits += sel.len() as u64;
-                stats.rows_scanned += sel.len() as u64;
-                return (sel, Some(*filter_idx));
-            }
+            let postings = db.indexes().equality_index(name, *col, base);
+            stats.index_probes += 1;
+            // NULL keys match nothing (postings never hold NULL), which
+            // is exactly the filter's `= NULL → UNKNOWN` behavior
+            let sel: Vec<u32> = postings
+                .get(key)
+                .map(|v| v.iter().map(|&i| i as u32).collect())
+                .unwrap_or_default();
+            stats.index_hits += sel.len() as u64;
+            stats.rows_scanned += sel.len() as u64;
+            return (sel, Some(*filter_idx));
         }
         stats.rows_scanned += base.len() as u64;
         ((0..base.len() as u32).collect(), None)
@@ -2186,8 +2205,8 @@ impl PhysSelect {
     }
 
     /// Run every unconsumed filter assigned to `step` over the flat tuple
-    /// buffer, gathering just the referenced columns per tuple; survivors
-    /// are compacted in place.
+    /// buffer, one tuple at a time; survivors are compacted in place (the
+    /// write cursor trails the read cursor).
     #[allow(clippy::too_many_arguments)]
     fn filter_tuples(
         &self,
@@ -2199,52 +2218,22 @@ impl PhysSelect {
         cx: &mut EvalCx,
         stats: &mut ExecStats,
     ) {
+        let mut scratch = Vec::new();
         for (fi, f) in self.filters.iter().enumerate() {
             if skip[fi] || f.step != step {
                 continue;
             }
-            let count = tuples.len() / stride;
-            stats.batches += count.div_ceil(BATCH_SIZE) as u64;
-            if let Some(fp) = &f.fast {
-                // single-comparison fast path: evaluate by reference with
-                // a fused compact (write cursor trails the read cursor)
-                let mut w = 0;
-                let mut r = 0;
-                while r + stride <= tuples.len() {
-                    if fp.eval_tuple(sources, &tuples[r..r + stride], cx.slots) {
-                        tuples.copy_within(r..r + stride, w);
-                        w += stride;
-                    }
-                    r += stride;
+            stats.batches += (tuples.len() / stride).div_ceil(BATCH_SIZE) as u64;
+            let mut w = 0;
+            let mut r = 0;
+            while r + stride <= tuples.len() {
+                if f.keep_tuple(sources, &tuples[r..r + stride], &mut scratch, cx) {
+                    tuples.copy_within(r..r + stride, w);
+                    w += stride;
                 }
-                tuples.truncate(w);
-            } else {
-                let mut flags = Vec::with_capacity(count);
-                let mut gath: Vec<Vec<Value>> = Vec::with_capacity(BATCH_SIZE);
-                let mut out = Vec::new();
-                for chunk in tuples.chunks(stride * BATCH_SIZE) {
-                    gath.clear();
-                    for t in chunk.chunks_exact(stride) {
-                        gath.push(
-                            f.gather
-                                .iter()
-                                .map(|&(s, local)| gather_value(sources, t, s, local))
-                                .collect(),
-                        );
-                    }
-                    let refs: Vec<&[Value]> = gath.iter().map(|r| r.as_slice()).collect();
-                    f.gprog.eval_batch(&refs, cx, &mut out);
-                    flags.extend(out.iter().map(|v| v.is_truthy()));
-                }
-                let mut w = 0;
-                for (i, keep) in flags.iter().enumerate() {
-                    if *keep {
-                        tuples.copy_within(i * stride..(i + 1) * stride, w);
-                        w += stride;
-                    }
-                }
-                tuples.truncate(w);
+                r += stride;
             }
+            tuples.truncate(w);
         }
     }
 
@@ -2623,67 +2612,6 @@ fn hash_join_rows(
     rows
 }
 
-// ----- vectorized filter helpers -----
-
-/// Filter a selection vector over a borrowed base in `BATCH_SIZE` chunks.
-fn filter_sel(
-    prog: &Program,
-    base: &[Vec<Value>],
-    sel: &mut Vec<u32>,
-    cx: &mut EvalCx,
-    stats: &mut ExecStats,
-) {
-    let mut kept = Vec::with_capacity(sel.len());
-    let mut out = Vec::new();
-    let mut refs: Vec<&[Value]> = Vec::with_capacity(BATCH_SIZE);
-    for chunk in sel.chunks(BATCH_SIZE) {
-        refs.clear();
-        refs.extend(chunk.iter().map(|&i| {
-            base.get(i as usize)
-                .map(|r| r.as_slice())
-                .unwrap_or(EMPTY_ROW)
-        }));
-        prog.eval_batch(&refs, cx, &mut out);
-        stats.batches += 1;
-        for (k, &i) in chunk.iter().enumerate() {
-            if out.get(k).map(|v| v.is_truthy()).unwrap_or(false) {
-                kept.push(i);
-            }
-        }
-    }
-    *sel = kept;
-}
-
-/// Evaluate a predicate over owned rows in `BATCH_SIZE` chunks.
-fn batch_flags(
-    prog: &Program,
-    rows: &[Vec<Value>],
-    cx: &mut EvalCx,
-    stats: &mut ExecStats,
-) -> Vec<bool> {
-    let mut flags = Vec::with_capacity(rows.len());
-    let mut out = Vec::new();
-    let mut refs: Vec<&[Value]> = Vec::with_capacity(BATCH_SIZE);
-    for chunk in rows.chunks(BATCH_SIZE) {
-        refs.clear();
-        refs.extend(chunk.iter().map(|r| r.as_slice()));
-        prog.eval_batch(&refs, cx, &mut out);
-        stats.batches += 1;
-        flags.extend(out.iter().map(|v| v.is_truthy()));
-    }
-    flags
-}
-
-/// Retain rows (and their tags, if tracked) flagged true.
-fn retain_rows(rows: &mut Vec<Vec<Value>>, tags: &mut Option<Vec<Vec<u32>>>, flags: &[bool]) {
-    let mut it = flags.iter();
-    rows.retain(|_| *it.next().unwrap_or(&false));
-    if let Some(t) = tags {
-        let mut it = flags.iter();
-        t.retain(|_| *it.next().unwrap_or(&false));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2726,6 +2654,13 @@ mod tests {
                     .collect(),
             ),
         );
+        db.insert_table(
+            "big",
+            Relation::new(
+                vec!["n".into()],
+                (0..2100).map(|i| vec![Value::num(i as f64)]).collect(),
+            ),
+        );
         db
     }
 
@@ -2746,7 +2681,49 @@ mod tests {
     #[test]
     fn simple_filter_compiles_and_agrees() {
         let stats = parity("SELECT name FROM users WHERE dept = 1 AND id > 3");
-        assert!(stats.batches > 0, "vectorized path not exercised");
+        assert!(stats.batches > 0, "filter pass not counted in batches");
+    }
+
+    #[test]
+    fn program_filters_agree_at_every_site() {
+        // every conjunct here is one `FastPred::of` rejects (arithmetic, a
+        // scalar function, CASE, a LIKE pattern that is not a constant),
+        // so each row runs `Program::eval`; a pass over n rows counts
+        // n.div_ceil(BATCH_SIZE) batches
+        let cases = [
+            // a base-table scan: 12 rows, then the 7 the first keeps
+            (
+                "SELECT id FROM users WHERE id + 1 > 5 AND UPPER(name) <> 'USER7'",
+                2,
+            ),
+            // owned rows of a derived table
+            (
+                "SELECT d.id FROM (SELECT id, dept FROM users) d \
+                 WHERE CASE WHEN d.dept = 0 THEN d.id ELSE 0 END > 4",
+                1,
+            ),
+            // owned rows of a LEFT JOIN unit
+            (
+                "SELECT u.name, l.level FROM users u LEFT JOIN logs l ON u.id = l.uid \
+                 WHERE l.level + u.dept > 4",
+                1,
+            ),
+            // a FROM-less block's one row, reading a subquery slot
+            ("SELECT 1 WHERE (SELECT MAX(id) FROM users) + 1 > 5", 1),
+            // composed tuples: 12 at step 0, 11 × 3 at step 1, then the 5
+            // survivors for the deferred, subquery-bearing conjunct
+            (
+                "SELECT u.name, d.label FROM users u, depts d \
+                 WHERE UPPER(u.name) <> 'USER3' AND u.name LIKE CONCAT('%', d.dept) \
+                 AND u.id + d.dept < (SELECT COUNT(*) FROM depts) * 4",
+                3,
+            ),
+            // 2,100 rows fill three batches in one pass
+            ("SELECT n FROM big WHERE n * 2 > 4000", 3),
+        ];
+        for (sql, batches) in cases {
+            assert_eq!(parity(sql).batches, batches, "batches for {sql}");
+        }
     }
 
     #[test]

@@ -18,11 +18,6 @@
 //! Uncorrelated subqueries are hoisted: the physical layer evaluates them
 //! once per (query, database) into [`SlotVal`]s, and programs reference
 //! the results by slot index.
-//!
-//! Hot filter passes use [`Program::eval_batch`], which interprets each
-//! operation once per fixed-size chunk over a stack of value *vectors*
-//! instead of once per row — the dispatch cost of the op loop is
-//! amortized across [`BATCH_SIZE`] rows.
 
 use crate::exec::{
     and3, arith, cast_typed, compare, from_tri, not3, or3, scalar_function_upper, tri,
@@ -31,10 +26,6 @@ use crate::like::LikeMatcher;
 use crate::Value;
 use squ_parser::CompareOp;
 use squ_schema::SqlType;
-
-/// Rows are processed in chunks of this many rows by the batch evaluator;
-/// each chunk feeds [`crate::ExecStats::batches`].
-pub(crate) const BATCH_SIZE: usize = 1024;
 
 /// One postfix stack operation.
 #[derive(Debug, Clone)]
@@ -330,226 +321,6 @@ impl Program {
         cx.stack.pop().unwrap_or(Value::Null)
     }
 
-    /// Evaluate over a batch of rows, pushing one value per row into
-    /// `out` (cleared first). Each op runs once per batch over a stack of
-    /// value vectors. Grouped programs (empty-group guards / aggregate
-    /// refs) fall back to per-row evaluation — they only ever run
-    /// per-group anyway.
-    pub fn eval_batch(&self, rows: &[&[Value]], cx: &mut EvalCx, out: &mut Vec<Value>) {
-        out.clear();
-        if self
-            .ops
-            .iter()
-            .any(|op| matches!(op, POp::SkipIfEmptyGroup(_) | POp::Agg(_)))
-        {
-            for r in rows {
-                out.push(self.eval(r, cx));
-            }
-            return;
-        }
-        let n = rows.len();
-        let mut stack: Vec<Vec<Value>> = Vec::new();
-        let mut pool: Vec<Vec<Value>> = Vec::new();
-        for op in &self.ops {
-            match op {
-                POp::Col(idx) => {
-                    let mut c = take(&mut pool, n);
-                    for r in rows {
-                        c.push(r.get(*idx).cloned().unwrap_or(Value::Null));
-                    }
-                    stack.push(c);
-                }
-                POp::Const(v) => {
-                    let mut c = take(&mut pool, n);
-                    c.resize(n, v.clone());
-                    stack.push(c);
-                }
-                POp::Cmp(opc) => {
-                    let r = vpop(&mut stack, n);
-                    let mut l = vpop(&mut stack, n);
-                    for i in 0..n {
-                        l[i] = compare(*opc, &l[i], &r[i]);
-                    }
-                    pool.push(r);
-                    stack.push(l);
-                }
-                POp::And3 => {
-                    let b = vpop(&mut stack, n);
-                    let mut a = vpop(&mut stack, n);
-                    for i in 0..n {
-                        a[i] = from_tri(and3(tri(&a[i]), tri(&b[i])));
-                    }
-                    pool.push(b);
-                    stack.push(a);
-                }
-                POp::Or3 => {
-                    let b = vpop(&mut stack, n);
-                    let mut a = vpop(&mut stack, n);
-                    for i in 0..n {
-                        a[i] = from_tri(or3(tri(&a[i]), tri(&b[i])));
-                    }
-                    pool.push(b);
-                    stack.push(a);
-                }
-                POp::Not3 => {
-                    let mut a = vpop(&mut stack, n);
-                    for v in a.iter_mut() {
-                        *v = from_tri(not3(tri(v)));
-                    }
-                    stack.push(a);
-                }
-                POp::IsNull { negated } => {
-                    let mut a = vpop(&mut stack, n);
-                    for v in a.iter_mut() {
-                        *v = Value::Bool(v.is_null() != *negated);
-                    }
-                    stack.push(a);
-                }
-                POp::Between { negated } => {
-                    let hi = vpop(&mut stack, n);
-                    let lo = vpop(&mut stack, n);
-                    let mut v = vpop(&mut stack, n);
-                    for i in 0..n {
-                        v[i] = between_value(&v[i], &lo[i], &hi[i], *negated);
-                    }
-                    pool.push(hi);
-                    pool.push(lo);
-                    stack.push(v);
-                }
-                POp::InList { negated, n: ln } => {
-                    let mut items: Vec<Vec<Value>> = Vec::with_capacity(*ln);
-                    for _ in 0..*ln {
-                        items.push(vpop(&mut stack, n));
-                    }
-                    let mut v = vpop(&mut stack, n);
-                    for i in 0..n {
-                        let mut hit: Option<bool> = Some(false);
-                        for item in &items {
-                            match v[i].sql_eq(&item[i]) {
-                                Some(true) => {
-                                    hit = Some(true);
-                                    break;
-                                }
-                                None => hit = None,
-                                Some(false) => {}
-                            }
-                        }
-                        v[i] = from_tri(if *negated { not3(hit) } else { hit });
-                    }
-                    pool.extend(items);
-                    stack.push(v);
-                }
-                POp::LikeConst { negated, matcher } => {
-                    let mut v = vpop(&mut stack, n);
-                    for x in v.iter_mut() {
-                        *x = like_const_value(x, matcher, *negated);
-                    }
-                    stack.push(v);
-                }
-                POp::LikeDyn { negated } => {
-                    let p = vpop(&mut stack, n);
-                    let mut v = vpop(&mut stack, n);
-                    for i in 0..n {
-                        v[i] = like_dyn_value(&v[i], &p[i], *negated);
-                    }
-                    pool.push(p);
-                    stack.push(v);
-                }
-                POp::Arith(opc) => {
-                    let r = vpop(&mut stack, n);
-                    let mut l = vpop(&mut stack, n);
-                    for i in 0..n {
-                        l[i] = arith(*opc, &l[i], &r[i]);
-                    }
-                    pool.push(r);
-                    stack.push(l);
-                }
-                POp::Neg => {
-                    let mut v = vpop(&mut stack, n);
-                    for x in v.iter_mut() {
-                        *x = neg_value(std::mem::replace(x, Value::Null));
-                    }
-                    stack.push(v);
-                }
-                POp::Call { name, argc } => {
-                    let mut args: Vec<Vec<Value>> = Vec::with_capacity(*argc);
-                    for _ in 0..*argc {
-                        args.push(vpop(&mut stack, n));
-                    }
-                    args.reverse();
-                    let mut c = take(&mut pool, n);
-                    let mut buf: Vec<Value> = Vec::with_capacity(*argc);
-                    for i in 0..n {
-                        buf.clear();
-                        buf.extend(args.iter().map(|a| a[i].clone()));
-                        c.push(scalar_function_upper(name, &buf).unwrap_or(Value::Null));
-                    }
-                    pool.extend(args);
-                    stack.push(c);
-                }
-                POp::Case {
-                    has_operand,
-                    branches,
-                    has_else,
-                } => {
-                    let total = usize::from(*has_operand) + 2 * branches + usize::from(*has_else);
-                    let mut parts: Vec<Vec<Value>> = Vec::with_capacity(total);
-                    for _ in 0..total {
-                        parts.push(vpop(&mut stack, n));
-                    }
-                    parts.reverse();
-                    let mut c = take(&mut pool, n);
-                    let mut buf: Vec<Value> = Vec::with_capacity(total);
-                    for i in 0..n {
-                        buf.clear();
-                        buf.extend(parts.iter().map(|p| p[i].clone()));
-                        c.push(case_value(&buf, *has_operand, *branches, *has_else));
-                    }
-                    pool.extend(parts);
-                    stack.push(c);
-                }
-                POp::Cast(ty) => {
-                    let mut v = vpop(&mut stack, n);
-                    for x in v.iter_mut() {
-                        *x = cast_typed(x, *ty);
-                    }
-                    stack.push(v);
-                }
-                POp::ScalarSlot(slot) => {
-                    let val = match cx.slots.get(*slot) {
-                        Some(SlotVal::Scalar(v)) => v.clone(),
-                        _ => Value::Null,
-                    };
-                    let mut c = take(&mut pool, n);
-                    c.resize(n, val);
-                    stack.push(c);
-                }
-                POp::InSlot { negated, slot } => {
-                    let mut v = vpop(&mut stack, n);
-                    for x in v.iter_mut() {
-                        *x = in_slot_value(x, cx.slots.get(*slot), *negated);
-                    }
-                    stack.push(v);
-                }
-                POp::ExistsSlot { negated, slot } => {
-                    let val = match cx.slots.get(*slot) {
-                        Some(SlotVal::Set(vals)) => Value::Bool(vals.is_empty() == *negated),
-                        _ => Value::Null,
-                    };
-                    let mut c = take(&mut pool, n);
-                    c.resize(n, val);
-                    stack.push(c);
-                }
-                // unreachable: guarded by the per-row fallback above
-                POp::SkipIfEmptyGroup(_) | POp::Agg(_) => {}
-            }
-        }
-        match stack.pop() {
-            Some(top) => out.extend(top),
-            None => out.resize(n, Value::Null),
-        }
-    }
-
     /// Clone with every column reference rewritten through `f` (used when
     /// a filter compiled against the canonical layout is applied to a
     /// reordered working layout).
@@ -571,19 +342,6 @@ impl Program {
 /// but keeps evaluation total.
 fn pop(stack: &mut Vec<Value>) -> Value {
     stack.pop().unwrap_or(Value::Null)
-}
-
-/// Batch-stack pop with an all-NULL default.
-fn vpop(stack: &mut Vec<Vec<Value>>, n: usize) -> Vec<Value> {
-    stack.pop().unwrap_or_else(|| vec![Value::Null; n])
-}
-
-/// Grab a cleared vector from the pool (or a fresh one).
-fn take(pool: &mut Vec<Vec<Value>>, n: usize) -> Vec<Value> {
-    let mut v = pool.pop().unwrap_or_default();
-    v.clear();
-    v.reserve(n);
-    v
 }
 
 pub(crate) fn between_value(v: &Value, lo: &Value, hi: &Value, negated: bool) -> Value {
@@ -761,36 +519,5 @@ mod tests {
             },
         ]);
         assert_eq!(v, Value::Num(2.0));
-    }
-
-    #[test]
-    fn batch_evaluation_agrees_with_scalar() {
-        // (col0 + 2) > 3 AND col1 LIKE 'a%'
-        let p = Program::new(vec![
-            POp::Col(0),
-            POp::Const(Value::Num(2.0)),
-            POp::Arith('+'),
-            POp::Const(Value::Num(3.0)),
-            POp::Cmp(CompareOp::Gt),
-            POp::Col(1),
-            POp::LikeConst {
-                negated: false,
-                matcher: LikeMatcher::new("a%"),
-            },
-            POp::And3,
-        ]);
-        let rows: Vec<Vec<Value>> = vec![
-            vec![Value::Num(5.0), Value::str("abc")],
-            vec![Value::Num(0.0), Value::str("abc")],
-            vec![Value::Null, Value::str("xyz")],
-            vec![Value::Num(9.0), Value::Null],
-        ];
-        let refs: Vec<&[Value]> = rows.iter().map(|r| r.as_slice()).collect();
-        let mut cx = EvalCx::plain(&[]);
-        let mut out = Vec::new();
-        p.eval_batch(&refs, &mut cx, &mut out);
-        let scalar: Vec<Value> = rows.iter().map(|r| p.eval(r, &mut cx)).collect();
-        assert_eq!(out, scalar);
-        assert_eq!(out[0], Value::Bool(true));
     }
 }

@@ -31,15 +31,6 @@ use squ_parser::CompareOp;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-/// Execute a statement on the reference interpreter. `CREATE TABLE … AS` /
-/// `CREATE VIEW` execute their defining query, like [`crate::execute`].
-pub fn reference_execute(stmt: &Statement, db: &Database) -> Result<Relation, ExecError> {
-    let q = stmt
-        .query()
-        .ok_or_else(|| ExecError::Unsupported("CREATE TABLE without AS SELECT".into()))?;
-    reference_query(q, db)
-}
-
 /// Execute a query with straight nested-loop semantics.
 pub fn reference_query(q: &Query, db: &Database) -> Result<Relation, ExecError> {
     let mut cx = Rx {

@@ -1,6 +1,6 @@
 //! Executor semantics tests against hand-built databases.
 
-use squ_engine::{execute_query, Database, ExecError, Relation, Value};
+use squ_engine::{execute_query, reference_query, Database, ExecError, Relation, Value};
 use squ_parser::parse_query;
 
 fn n(v: f64) -> Value {
@@ -359,6 +359,45 @@ fn stats_accumulate() {
     assert_eq!(stats.rows_scanned, 9);
     assert_eq!(stats.join_pairs, 20);
     assert_eq!(stats.rows_output, 3);
+}
+
+#[test]
+fn index_probes_fetch_only_matching_rows_and_agree_with_reference() {
+    // 64 rows clear the cost model's 8-row bar, so every `bucket = const`
+    // conjunct below is answered by one probe of the hash index
+    let mut db = Database::new("events");
+    let rows: Vec<Vec<Value>> = (0..64)
+        .map(|i| {
+            vec![
+                n(f64::from(i)),
+                n(f64::from(i % 8)),
+                s(if i % 2 == 0 { "even" } else { "odd" }),
+            ]
+        })
+        .collect();
+    db.insert_table(
+        "events",
+        Relation::new(vec!["id".into(), "bucket".into(), "parity".into()], rows),
+    );
+    let sqls = [
+        "SELECT id FROM events WHERE bucket = 3",
+        "SELECT parity, COUNT(*) FROM events WHERE bucket = 5 GROUP BY parity",
+        "SELECT id FROM events WHERE 6 = bucket ORDER BY id",
+    ];
+    for sql in sqls {
+        let q = parse_query(sql).unwrap();
+        let expected = reference_query(&q, &db).unwrap();
+        let (got, stats) = execute_query(&q, &db).unwrap();
+        assert_eq!(stats.compiled, 1, "{sql} should compile");
+        assert_eq!(stats.index_probes, 1, "{sql} should probe the index");
+        assert_eq!(stats.index_hits, 8, "{sql}: 8 of 64 rows share each bucket");
+        assert_eq!(
+            stats.rows_scanned, 8,
+            "{sql}: an index probe materializes only matching rows"
+        );
+        assert_eq!(got.columns, expected.columns, "{sql}");
+        assert_eq!(got.rows, expected.rows, "{sql}");
+    }
 }
 
 #[test]

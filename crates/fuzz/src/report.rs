@@ -94,7 +94,7 @@ pub struct EngineCounters {
     pub rows_scanned: u64,
     /// Row pairs considered by join loops.
     pub join_pairs: u64,
-    /// Operator batches evaluated by the vectorized filter path.
+    /// Filter work in units of 1,024 rows (`squ_engine::ExecStats::batches`).
     pub batches: u64,
     /// Hash-index equality probes issued.
     pub index_probes: u64,
